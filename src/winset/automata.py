@@ -550,10 +550,6 @@ def from_words(alphabet, words):
     return Nfa(alphabet, len(index), 0, frozenset(trans), frozenset(accepting))
 
 
-def empty_language(alphabet):
-    return Nfa(alphabet, 1, 0, frozenset(), frozenset())
-
-
 def is_empty(a):
     return shortest_word(a) is None
 

@@ -41,6 +41,8 @@ CSV_COLUMNS = (
     "uni",
     "outcome",
 )
+# `solve --stats` rows also split the time between the learner and the teacher.
+STATS_COLUMNS = CSV_COLUMNS + ("solve_s", "teacher_s")
 
 EXIT_BY_OUTCOME = {"solved": 0, "timeout": 1, "cap-exceeded": 1, "contradiction": 2}
 
@@ -79,12 +81,15 @@ def _stats_row(game_name, g, res):
 def _append_csv(path, rows):
     try:
         with open(path, encoding="utf-8") as fh:
-            has_header = fh.readline().strip() != ""
+            header = fh.readline().strip()
     except OSError:
-        has_header = False
+        header = ""
+    if header and header != ",".join(STATS_COLUMNS):
+        # rows under another header would land in the wrong columns
+        raise GameFormatError(f"{path} has other columns than --stats writes: {header}")
     with open(path, "a", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if not has_header:
+        writer = csv.DictWriter(fh, fieldnames=STATS_COLUMNS)
+        if not header:
             writer.writeheader()
         writer.writerows(rows)
 
@@ -115,7 +120,10 @@ def cmd_solve(args):
             print(f"wrote {args.out}")
     if args.stats:
         name = args.game.rsplit("/", 1)[-1]
-        _append_csv(args.stats, [_stats_row(name, g, res)])
+        row = _stats_row(name, g, res)
+        row["solve_s"] = f"{res.solve_time:.2f}"
+        row["teacher_s"] = f"{res.teacher_time:.2f}"
+        _append_csv(args.stats, [row])
     return EXIT_BY_OUTCOME[res.outcome]
 
 
@@ -207,7 +215,6 @@ def build_parser():
     p.add_argument("--solver", default="internal", help="internal or exec:<path>")
     p.add_argument("--out", help="write the learned DFA here")
     p.add_argument("--stats", help="append one CSV row here")
-    p.add_argument("--seed", type=int, help="reserved; all components are deterministic")
     p.add_argument("--emit", choices=("aut", "dot"), default="aut")
     p.set_defaults(fn=cmd_solve)
 

@@ -1,135 +1,28 @@
-"""Propositional formulas, CNF conversion, and satisfiability backends.
+"""CNF instances and satisfiability backends.
 
-A formula is a nested structure over positive integer variables:
+A CNF is a variable count and a list of clauses, each a list of nonzero ints
+(a negative int is a negated variable).  The encoders in `satlearn` and
+`sample` emit their clauses directly, auxiliary gate variables included, so
+nothing here rewrites formulas.  A backend is a callable
+`(cnf, deadline) -> model | None`, where a model maps every variable
+1..var_count to a bool.
 
-    5                  variable (a negative int is its negation)
-    ("and", (f, ...))  conjunction   -- empty means true
-    ("or", (f, ...))   disjunction   -- empty means false
-    ("not", f)
-    ("imp", f, g)
-
-`to_cnf` keeps original variable ids and introduces auxiliary variables above
-them (polarity-aware Tseitin); structurally equal subformulas share one
-auxiliary variable.  The default backend is a small CDCL solver (two-watched
-literals, VSIDS, first-UIP learning, phase saving, Luby restarts); it is
-fully deterministic.  An external solver can be plugged in through the
-DIMACS text format.
+The default backend is a small CDCL solver (two-watched literals, VSIDS,
+first-UIP learning, phase saving, Luby restarts); it is fully deterministic
+and takes clauses as they come: repeated literals, tautologies and duplicate
+clauses cost time but never change the answer.  An external solver can be
+plugged in through the DIMACS text format; every model it returns is checked
+against the clauses, while its UNSAT verdict is taken on trust.
 """
 
 import heapq
+import os
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
 
 from .errors import ExternalSolverError, SolveTimeout
-
-TRUE = ("true",)
-FALSE = ("false",)
-
-
-def conj(parts):
-    return ("and", tuple(parts))
-
-
-def disj(parts):
-    return ("or", tuple(parts))
-
-
-def imp(a, b):
-    return ("imp", a, b)
-
-
-def neg(f):
-    return ("not", f)
-
-
-def normalize(f):
-    """Constant-fold, flatten nested and/or, dedup children, tuple-ize."""
-    if isinstance(f, int):
-        if f == 0:
-            raise ValueError("0 is not a variable")
-        return f
-    tag = f[0]
-    if tag in ("true", "false"):
-        return (tag,)
-    if tag == "not":
-        sub = normalize(f[1])
-        if sub == TRUE:
-            return FALSE
-        if sub == FALSE:
-            return TRUE
-        if isinstance(sub, int):
-            return -sub
-        if sub[0] == "not":
-            return sub[1]
-        return ("not", sub)
-    if tag == "imp":
-        a, b = normalize(f[1]), normalize(f[2])
-        if a == FALSE or b == TRUE:
-            return TRUE
-        if a == TRUE:
-            return b
-        if b == FALSE:
-            return normalize(("not", a))
-        return ("imp", a, b)
-    if tag in ("and", "or"):
-        absorbing, neutral = (FALSE, TRUE) if tag == "and" else (TRUE, FALSE)
-        kids = []
-        for g in f[1]:
-            gn = normalize(g)
-            if gn == neutral:
-                continue
-            if gn == absorbing:
-                return absorbing
-            if isinstance(gn, tuple) and gn[0] == tag:
-                kids.extend(gn[1])
-            else:
-                kids.append(gn)
-        kids = tuple(dict.fromkeys(kids))
-        if not kids:
-            return neutral
-        if len(kids) == 1:
-            return kids[0]
-        return (tag, kids)
-    raise ValueError(f"bad formula node {f!r}")
-
-
-def eval_formula(f, model):
-    """Evaluate under `model` (dict var -> bool; missing vars are false)."""
-    if isinstance(f, int):
-        v = model.get(abs(f), False)
-        return v if f > 0 else not v
-    tag = f[0]
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "not":
-        return not eval_formula(f[1], model)
-    if tag == "imp":
-        return (not eval_formula(f[1], model)) or eval_formula(f[2], model)
-    if tag == "and":
-        return all(eval_formula(g, model) for g in f[1])
-    if tag == "or":
-        return any(eval_formula(g, model) for g in f[1])
-    raise ValueError(f"bad formula node {f!r}")
-
-
-def formula_vars(f, out=None):
-    if out is None:
-        out = set()
-    if isinstance(f, int):
-        out.add(abs(f))
-    elif f[0] == "not":
-        formula_vars(f[1], out)
-    elif f[0] == "imp":
-        formula_vars(f[1], out)
-        formula_vars(f[2], out)
-    elif f[0] in ("and", "or"):
-        for g in f[1]:
-            formula_vars(g, out)
-    return out
 
 
 @dataclass
@@ -138,93 +31,12 @@ class CnfInstance:
     clauses: list = field(default_factory=list)
 
 
-def _clause_fast_path(node):
-    """Return the clause for nodes that already are one, else None."""
-    if isinstance(node, int):
-        return [node]
-    tag = node[0]
-    if tag == "or" and all(isinstance(k, int) for k in node[1]):
-        return list(node[1])
-    if tag == "imp":
-        lhs, rhs = node[1], node[2]
-        if isinstance(lhs, int):
-            left = [-lhs]
-        elif lhs[0] == "and" and all(isinstance(k, int) for k in lhs[1]):
-            left = [-k for k in lhs[1]]
-        else:
-            return None
-        if isinstance(rhs, int):
-            right = [rhs]
-        elif rhs[0] == "or" and all(isinstance(k, int) for k in rhs[1]):
-            right = list(rhs[1])
-        else:
-            return None
-        return left + right
+def falsified_clause(cnf, model):
+    """The first clause of `cnf` that `model` (var -> bool) leaves false, or None."""
+    for clause in cnf.clauses:
+        if not any(model.get(abs(l), False) == (l > 0) for l in clause):
+            return clause
     return None
-
-
-def to_cnf(f, reserve=0):
-    """Equisatisfiable CNF; source variables keep their ids, auxiliaries go above.
-
-    `reserve` bumps the variable count floor so callers can pre-allocate ids.
-    """
-    nf = normalize(f)
-    nv = max(reserve, max(formula_vars(nf), default=0))
-    cnf = CnfInstance(nv)
-    if nf == TRUE:
-        return cnf
-    if nf == FALSE:
-        cnf.clauses.append([])
-        return cnf
-    aux_of = {}
-    emitted = set()
-
-    def lit_for(node, pol):
-        if isinstance(node, int):
-            return node
-        if node[0] == "not":
-            return -lit_for(node[1], -pol)
-        if node not in aux_of:
-            cnf.var_count += 1
-            aux_of[node] = cnf.var_count
-        v = aux_of[node]
-        if (node, pol) in emitted:
-            return v
-        emitted.add((node, pol))
-        if node[0] == "and":
-            signed = [(1, k) for k in node[1]]
-            is_and = True
-        elif node[0] == "or":
-            signed = [(1, k) for k in node[1]]
-            is_and = False
-        else:  # imp a b  ==  or(not a, b)
-            signed = [(-1, node[1]), (1, node[2])]
-            is_and = False
-        if pol > 0:
-            if is_and:
-                for (s, k) in signed:
-                    cnf.clauses.append([-v, s * lit_for(k, s)])
-            else:
-                cnf.clauses.append([-v] + [s * lit_for(k, s) for (s, k) in signed])
-        else:
-            if is_and:
-                cnf.clauses.append([v] + [-(s * lit_for(k, -s)) for (s, k) in signed])
-            else:
-                for (s, k) in signed:
-                    cnf.clauses.append([v, -(s * lit_for(k, -s))])
-        return v
-
-    conjuncts = nf[1] if isinstance(nf, tuple) and nf[0] == "and" else (nf,)
-    for c in conjuncts:
-        clause = _clause_fast_path(c)
-        if clause is not None:
-            cnf.clauses.append(clause)
-        elif isinstance(c, tuple) and c[0] == "imp":
-            # assert the implication as one clause over gate literals
-            cnf.clauses.append([-lit_for(c[1], -1), lit_for(c[2], 1)])
-        else:
-            cnf.clauses.append([lit_for(c, 1)])
-    return cnf
 
 
 # ------------------------------------------------------------ CDCL solver
@@ -261,16 +73,13 @@ class _Cdcl:
         self.units = []
         self.ok = True
         for raw in cnf.clauses:
-            lits = list(dict.fromkeys(raw))
-            if any(-l in lits for l in lits):
-                continue  # tautology
-            if not lits:
+            if len(raw) > 1:
+                self._attach(list(raw))  # a copy: watching reorders it
+            elif raw:
+                self.units.append(raw[0])
+            else:
                 self.ok = False
                 return
-            if len(lits) == 1:
-                self.units.append(lits[0])
-            else:
-                self._attach(lits)
 
     def _attach(self, lits):
         ci = len(self.clauses)
@@ -539,19 +348,26 @@ def external_solver(command):
         budget = None
         if deadline is not None:
             budget = max(0.1, deadline - time.monotonic())
-        with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-            fh.write(to_dimacs(cnf))
-            path = fh.name
+        fh = tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False)
         try:
+            with fh:
+                fh.write(to_dimacs(cnf))
             proc = subprocess.run(
-                [command, path], capture_output=True, text=True, timeout=budget
+                [command, fh.name], capture_output=True, text=True, timeout=budget
             )
         except subprocess.TimeoutExpired:
             raise SolveTimeout(f"external solver exceeded {budget:.1f}s") from None
         except OSError as e:
             raise ExternalSolverError(f"cannot run {command!r}: {e}") from None
+        finally:
+            os.unlink(fh.name)
         # exit codes follow no convention worth trusting; parse the output
-        return _parse_solver_output(proc.stdout, cnf.var_count)
+        model = _parse_solver_output(proc.stdout, cnf.var_count)
+        if model is not None:
+            bad = falsified_clause(cnf, model)
+            if bad is not None:
+                raise ExternalSolverError(f"solver model falsifies the clause {bad}")
+        return model
 
     return run
 

@@ -16,7 +16,7 @@ from .automata import Dfa, _reach_trim_dfa, shortlex_key
 from .errors import ContradictionError, InfiniteConsequentError, SolveTimeout
 from .errors import InfiniteBranchingError
 from .learning import LearnOptions, run_cegis
-from .prop import solve_internal, to_cnf
+from .prop import solve_internal
 from .sample import chi, finite_words, is_consistent
 from .teacher import Existential, Universal
 
@@ -52,15 +52,15 @@ def prefix_tree_acceptor(alphabet, words):
 
 def choose_positive_closure(s, solver=None, deadline=None):
     """Some word set Pos' ⊇ Pos that settles every implication, via a model
-    of the chi formula; the PTA of Pos' is consistent with the sample."""
+    of the chi CNF; the PTA of Pos' is consistent with the sample."""
     built = chi(s)
     if built is None:
         raise InfiniteConsequentError(
             "an implication consequent is infinite; the merging learner needs "
             "finitely branching games"
         )
-    formula, var = built
-    model = (solver or solve_internal)(to_cnf(formula), deadline)
+    cnf, var = built
+    model = (solver or solve_internal)(cnf, deadline)
     if model is None:
         raise ContradictionError("sample is contradictory: Player 1 may win from I")
     return tuple(

@@ -19,7 +19,7 @@ from .automata import (
     shortlex_key,
 )
 from .errors import InternalConsistencyError
-from .prop import conj, disj, imp, solve_internal, to_cnf
+from .prop import CnfInstance, solve_internal
 from .teacher import Existential, Negative, Positive, Universal
 
 
@@ -104,11 +104,15 @@ def is_consistent(d, s):
 
 
 def chi(s):
-    """The membership formula over the sample's word universe, or None.
+    """The membership CNF over the sample's word universe, or None.
 
-    One variable per word; a model is exactly a consistent assignment of
-    "in the target language" to every word the sample mentions.  None when
-    some consequent language is infinite (the universe would be too).
+    One variable per word, numbered in shortlex order from 1; returns
+    (CnfInstance, word -> variable).  A model is exactly a consistent
+    assignment of "in the target language" to every word the sample
+    mentions.  None when some consequent language is infinite (the universe
+    would be too).  A universal item with two or more consequent words goes
+    through one gate per word set, implying all of them; repeated clauses
+    and tautologies are left out.
     """
     consequents = {}
     for (_u, a) in s.ex + s.uni:
@@ -123,13 +127,32 @@ def chi(s):
     for words in consequents.values():
         universe.update(words)
     var = {w: i + 1 for i, w in enumerate(sorted(universe, key=shortlex_key))}
-    parts = [var[w] for w in s.pos]
-    parts += [-var[w] for w in s.neg]
-    for (u, a) in s.ex:
-        parts.append(imp(var[u], disj([var[v] for v in consequents[a]])))
-    for (u, a) in s.uni:
-        parts.append(imp(var[u], conj([var[v] for v in consequents[a]])))
-    return conj(parts), var
+    tops = [(var[w],) for w in s.pos] + [(-var[w],) for w in s.neg]
+    tops += [(-var[u],) + tuple(var[v] for v in consequents[a]) for (u, a) in s.ex]
+    alls = [(var[u], tuple(var[v] for v in consequents[a])) for (u, a) in s.uni if consequents[a]]
+    # The count covers the words some clause mentions: a universal item with
+    # nothing to accept constrains nothing and mentions nothing.
+    ids = [abs(l) for c in tops for l in c] + [v for (u, vs) in alls for v in (u, *vs)]
+    cnf = CnfInstance(max(ids, default=0))
+    seen, gates = set(), {}
+
+    def emit(clause):
+        if clause not in seen and -clause[0] not in clause:
+            seen.add(clause)
+            cnf.clauses.append(list(clause))
+
+    for clause in tops:
+        emit(clause)
+    for (u, vs) in alls:
+        if len(vs) == 1:
+            emit((-u, vs[0]))
+            continue
+        if vs not in gates:
+            cnf.var_count += 1
+            gates[vs] = cnf.var_count
+            cnf.clauses += [[-cnf.var_count, v] for v in vs]
+        emit((-u, gates[vs]))
+    return cnf, var
 
 
 def check_contradiction(s, solver=None, deadline=None):
@@ -137,9 +160,9 @@ def check_contradiction(s, solver=None, deadline=None):
     built = chi(s)
     if built is None:
         return "unknown"
-    formula, _var = built
+    cnf, _var = built
     solver = solver or solve_internal
-    model = solver(to_cnf(formula), deadline)
+    model = solver(cnf, deadline)
     return "consistent" if model is not None else "contradictory"
 
 

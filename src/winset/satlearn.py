@@ -1,5 +1,5 @@
 """Exact learner: encode "an n-state DFA consistent with the sample exists"
-as a propositional formula, solve for increasing n, extract the model DFA.
+as CNF clauses, solve for increasing n, extract the model DFA.
 
 Variable families (all housed in a VarBook, one per (sample, n) build):
 
@@ -14,20 +14,34 @@ Variable families (all housed in a VarBook, one per (sample, n) build):
                     the intersection is witnessed by one of length ≤ k
 
 All four constraint families share the one x-universe, so a word's run is
-encoded once no matter how many sample items mention it.
+encoded once no matter how many sample items mention it.  Almost every
+constraint is a clause as it stands (Heule & Verwer, ICGI 2010; Neider,
+ATVA 2012).  The rest go through gate variables, numbered after the blocks
+in order of first use, each implied by (or implying) what it stands for:
+
+    acc_u           one per antecedent u, implied by "the DFA accepts u",
+                    shared by the universal and existential items on u
+    support gates   z_{q,q',l} implies some predecessor pair (d, z_{l-1});
+                    one gate per pair, one per disjunction, both memoized
+    witness gates   acc_u implies some accepting z: the same gate shapes
+    universal gates acc_u implies a gate that implies every y → f clause
+
+The clause order and gate numbering are fixed, so the solver's search, and
+with it every model, is reproducible.
 """
 
 from .automata import Dfa, shortlex_key
 from .errors import CapExceededError, InternalConsistencyError
 from .learning import LearnOptions, run_cegis
-from .prop import conj, disj, imp, solve_internal, to_cnf
+from .prop import CnfInstance, solve_internal
 
 
 class VarBook:
     """Dense, stable variable numbering for one encoding; ids start at 1.
 
     Block layout: d-block, f-block, x-block, then per-implication y/z blocks.
-    Auxiliary Tseitin variables are allocated above var_count by to_cnf.
+    Gate variables are appended above the blocks by `new_var` as the
+    encoders first use them, so `var_count` grows while clauses are emitted.
     """
 
     def __init__(self, sample, n):
@@ -60,6 +74,7 @@ class VarBook:
             self._zk.append(k)
             cursor += n * a.state_count * (k + 1)
         self.var_count = cursor
+        self.gates = {}  # gate key -> its variable
 
     def d(self, p, a, q):
         return 1 + self._d0 + (p * self.nsym + a) * self.n + q
@@ -82,139 +97,187 @@ class VarBook:
     def k(self, i):
         return self._zk[i]
 
+    def d_table(self):
+        """[p][a][q] -> d(p, a, q), for the encoders' inner loops."""
+        r = range(self.n)
+        return [[[self.d(p, a, q) for q in r] for a in range(self.nsym)] for p in r]
+
+    def z_table(self, i):
+        """[l][q][qa] -> z(i, q, qa, l)."""
+        na = self.sample.ex[i][1].state_count
+        return [[[self.z(i, q, qa, l) for qa in range(na)] for q in range(self.n)]
+                for l in range(self.k(i) + 1)]
+
+    def new_var(self):
+        self.var_count += 1
+        return self.var_count
+
 
 def build_dfa_constraints(book):
     """Determinism (pairwise exclusion) and totality of the d-variables."""
-    n, nsym = book.n, book.nsym
-    parts = []
-    for p in range(n):
-        for a in range(nsym):
-            for q1 in range(n):
-                for q2 in range(n):
-                    if q1 != q2:
-                        parts.append(disj([-book.d(p, a, q1), -book.d(p, a, q2)]))
-            parts.append(disj([book.d(p, a, q) for q in range(n)]))
-    return conj(parts)
+    clauses = []
+    for row in book.d_table():
+        for ds in row:
+            clauses += _at_most_one(ds)
+            clauses.append(ds)
+    return clauses
+
+
+def _at_most_one(lits):
+    """Pairwise exclusion, once per ordered pair."""
+    return [[-a, -b] for a in lits for b in lits if a != b]
 
 
 def build_run_constraints(book):
     """x-variables track the run: rooted at (ε, q0), at most one state per
     prefix, and propagated along chosen transitions."""
     n = book.n
-    parts = [book.x((), 0)]
-    for u in book.prefixes:
-        for q1 in range(n):
-            for q2 in range(n):
-                if q1 != q2:
-                    parts.append(disj([-book.x(u, q1), -book.x(u, q2)]))
-    for u in book.prefixes:
+    xs = [[book.x(u, q) for q in range(n)] for u in book.prefixes]
+    clauses = [[xs[0][0]]]
+    for xu in xs:
+        clauses += _at_most_one(xu)
+    dt = book.d_table()
+    for u, xu in zip(book.prefixes, xs):
         for a in range(book.nsym):
-            ua = u + (a,)
-            if ua not in book._pref:
+            ua = book._pref.get(u + (a,))
+            if ua is None:
                 continue
+            xua = xs[ua]
             for p in range(n):
+                dpa = dt[p][a]
                 for q in range(n):
-                    parts.append(imp(conj([book.x(u, p), book.d(p, a, q)]), book.x(ua, q)))
-    return conj(parts)
+                    clauses.append([-xu[p], -dpa[q], xua[q]])
+    return clauses
 
 
 def build_pos(book):
-    return conj(
-        [imp(book.x(u, q), book.f(q)) for u in book.sample.pos for q in range(book.n)]
-    )
+    return [[-book.x(u, q), book.f(q)] for u in book.sample.pos for q in range(book.n)]
 
 
 def build_neg(book):
-    return conj(
-        [imp(book.x(u, q), -book.f(q)) for u in book.sample.neg for q in range(book.n)]
-    )
+    return [[-book.x(u, q), -book.f(q)] for u in book.sample.neg for q in range(book.n)]
 
 
-def _accepts_u(book, u):
-    """Gate antecedent: the conjectured DFA accepts u."""
-    return disj([conj([book.x(u, q), book.f(q)]) for q in range(book.n)])
+def _accept_gate(book, u, out):
+    """acc_u: implied by "the DFA accepts u"; defined in `out` on first use."""
+    key = ("acc", u)
+    g = book.gates.get(key)
+    if g is None:
+        g = book.gates[key] = book.new_var()
+        if book.n == 1:
+            out.append([g, -book.x(u, 0), -book.f(0)])
+        else:
+            for q in range(book.n):
+                h = book.new_var()  # implied by "the run on u ends in accepting q"
+                out.append([h, -book.x(u, q), -book.f(q)])
+                out.append([g, -h])
+    return g
+
+
+def _some_pair(book, pairs, out):
+    """[] when `pairs` is empty, else [g] with g implying a ∧ b for some
+    (a, b) in `pairs`: the pair's own gate, or for two or more pairs a
+    disjunction gate over theirs.  Every gate is memoized."""
+    if len(pairs) < 2:
+        return _pair_gates(book, pairs, out)
+    key = tuple(pairs)
+    g = book.gates.get(key)
+    if g is None:
+        g = book.gates[key] = book.new_var()  # numbered before its pair gates
+        out.append([-g] + _pair_gates(book, pairs, out))
+    return [g]
+
+
+def _pair_gates(book, pairs, out):
+    """One memoized gate per pair (a, b), implying a ∧ b."""
+    gates = book.gates
+    lits = []
+    for pair in pairs:
+        h = gates.get(pair)
+        if h is None:
+            h = gates[pair] = book.new_var()
+            out.append([-h, pair[0]])
+            out.append([-h, pair[1]])
+        lits.append(h)
+    return lits
 
 
 def build_uni(book):
     """Universal implications: if u is accepted, every word of the consequent
     automaton must be accepted; y over-approximates joint reachability."""
     n = book.n
-    parts = []
+    out = []
+    dt = book.d_table()
     for i, (u, a) in enumerate(book.sample.uni):
-        parts.append(book.y(i, 0, a.initial))
+        y = [[book.y(i, q, qa) for qa in range(a.state_count)] for q in range(n)]
+        out.append([y[0][a.initial]])
         for (pa, sym, qa) in a.transitions:
             for p in range(n):
+                yp, dps = y[p][pa], dt[p][sym]
                 for q in range(n):
-                    parts.append(
-                        imp(conj([book.y(i, p, pa), book.d(p, sym, q)]), book.y(i, q, qa))
-                    )
-        rhs = conj(
-            [imp(book.y(i, q, qa), book.f(q)) for q in range(n) for qa in sorted(a.accepting)]
-        )
-        parts.append(imp(_accepts_u(book, u), rhs))
-    return conj(parts)
+                    if p == q and pa == qa:
+                        continue  # y → y: a tautology
+                    out.append([-yp, -dps[q], y[q][qa]])
+        rhs = [(y[q][qa], book.f(q)) for q in range(n) for qa in sorted(a.accepting)]
+        if not rhs:
+            continue  # nothing to accept
+        acc = _accept_gate(book, u, out)
+        g = book.new_var()  # implies y → f for every pair
+        if len(rhs) == 1:
+            out.append([-g, -rhs[0][0], rhs[0][1]])
+        else:
+            for (yq, fq) in rhs:
+                h = book.new_var()
+                out.append([-h, -yq, fq])
+                out.append([-g, h])
+        out.append([-acc, g])
+    return out
 
 
 def build_ex(book):
     """Existential implications: if u is accepted, the DFA must accept some
     consequent word; z is exact layered joint reachability up to length k."""
     n = book.n
-    parts = []
+    out = []
+    dt = book.d_table()
     for i, (u, a) in enumerate(book.sample.ex):
         na = a.state_count
-        k = book.k(i)
+        z = book.z_table(i)
         for q in range(n):
             for qa in range(na):
-                lit = book.z(i, q, qa, 0)
-                parts.append(lit if (q == 0 and qa == a.initial) else -lit)
-        for l in range(k):
+                lit = z[0][q][qa]
+                out.append([lit if (q == 0 and qa == a.initial) else -lit])
+        for zl, znext in zip(z, z[1:]):
             for (pa, sym, qa) in a.transitions:
                 for p in range(n):
+                    zp, dps = zl[p][pa], dt[p][sym]
                     for q in range(n):
-                        parts.append(
-                            imp(
-                                conj([book.z(i, p, pa, l), book.d(p, sym, q)]),
-                                book.z(i, q, qa, l + 1),
-                            )
-                        )
+                        out.append([-zp, -dps[q], znext[q][qa]])
         into = {}
         for (pa, sym, qa) in a.transitions:
             into.setdefault(qa, []).append((pa, sym))
-        for l in range(1, k + 1):
+        for zprev, zl in zip(z, z[1:]):
             for q in range(n):
                 for qa in range(na):
                     support = [
-                        conj([book.d(p, sym, q), book.z(i, p, pa, l - 1)])
-                        for (pa, sym) in into.get(qa, ())
-                        for p in range(n)
+                        (dt[p][sym][q], zprev[p][pa]) for (pa, sym) in into.get(qa, ()) for p in range(n)
                     ]
-                    parts.append(imp(book.z(i, q, qa, l), disj(support)))
-        witness = disj(
-            [
-                conj([book.z(i, q, qa, l), book.f(q)])
-                for l in range(k + 1)
-                for q in range(n)
-                for qa in sorted(a.accepting)
-            ]
-        )
-        parts.append(imp(_accepts_u(book, u), witness))
-    return conj(parts)
+                    out.append([-zl[q][qa]] + _some_pair(book, support, out))
+        witness = [
+            (zl[q][qa], book.f(q)) for zl in z for q in range(n) for qa in sorted(a.accepting)
+        ]
+        acc = _accept_gate(book, u, out)
+        out.append([-acc] + _some_pair(book, witness, out))
+    return out
 
 
 def build_formula(sample, n):
-    """φ_n for the sample; returns (formula, VarBook) for extraction."""
+    """The CNF for φ_n over the sample; returns (CnfInstance, VarBook)."""
     book = VarBook(sample, n)
-    formula = conj(
-        [
-            build_dfa_constraints(book),
-            build_run_constraints(book),
-            build_pos(book),
-            build_neg(book),
-            build_uni(book),
-            build_ex(book),
-        ]
-    )
-    return formula, book
+    clauses = build_dfa_constraints(book)
+    for build in (build_run_constraints, build_pos, build_neg, build_uni, build_ex):
+        clauses += build(book)
+    return CnfInstance(book.var_count, clauses), book
 
 
 def extract_dfa(model, book):
@@ -239,8 +302,8 @@ def minimal_consistent_dfa(sample, n_cap=32, solver=None, deadline=None, n_start
     """Smallest consistent DFA, by solving φ_1, φ_2, ... until satisfiable."""
     solver = solver or solve_internal
     for n in range(n_start, n_cap + 1):
-        formula, book = build_formula(sample, n)
-        model = solver(to_cnf(formula, reserve=book.var_count), deadline)
+        cnf, book = build_formula(sample, n)
+        model = solver(cnf, deadline)
         if model is not None:
             return extract_dfa(model, book)
     raise CapExceededError(n_cap)

@@ -27,7 +27,7 @@ from winset.benchmarks import BenchmarkSpec, game_size, generate_benchmark, half
 from winset.cli import main
 from winset.game import serialize_dfa, serialize_game
 from winset.learning import LearnOptions
-from winset.prop import solve_internal, to_cnf
+from winset.prop import solve_internal
 from winset.relations import accepts_pair, image, invert
 from winset.rpni import learn_rpni, merge_learn
 from winset.sample import is_consistent
@@ -119,8 +119,8 @@ def test_2_returned_sizes_are_minimal(sat_runs):
         n = res.dfa.state_count
         if n == 1:
             continue  # nothing below one state
-        formula, book = build_formula(res.sample, n - 1)
-        if solve_internal(to_cnf(formula, reserve=book.var_count)) is not None:
+        cnf, _book = build_formula(res.sample, n - 1)
+        if solve_internal(cnf) is not None:
             ok = False
             break
         rechecked += 1
@@ -169,8 +169,8 @@ def test_4_sat_encoding_matches_enumeration():
         pos, neg, ex, uni = random_sample_parts(rng)
         s = make_sample(AB, pos, neg, ex, uni)
         for n in (1, 2, 3):
-            formula, book = build_formula(s, n)
-            model = solve_internal(to_cnf(formula, reserve=book.var_count))
+            cnf, book = build_formula(s, n)
+            model = solve_internal(cnf)
             ok = ok and (model is not None) == exists_consistent_dfa(2, n, pos, neg, ex, uni)
             if model is not None:
                 sat_hits += 1

@@ -5,12 +5,13 @@ the exit codes come back as plain return values.
 """
 
 import csv
+import os
 
 import pytest
 
 from winset.automata import Nfa, determinize, from_words, minimize
 from winset.benchmarks import halfline_game
-from winset.cli import CSV_COLUMNS, main
+from winset.cli import CSV_COLUMNS, STATS_COLUMNS, main
 from winset.game import RationalSafetyGame, parse_game, serialize_dfa, serialize_game
 
 
@@ -46,11 +47,15 @@ def test_solve_rpni_writes_stats(tmp_path, capsys):
     rows = read_rows(stats)
     assert len(rows) == 1
     row = rows[0]
-    assert tuple(row) == CSV_COLUMNS
+    assert tuple(row) == STATS_COLUMNS == CSV_COLUMNS + ("solve_s", "teacher_s")
     assert row["game"] == "half.game"
     assert row["outcome"] == "solved"
     assert int(row["pos"]) >= 1
     assert int(row["dfa_size"]) >= 1
+    # the learner's and the teacher's shares of the wall time (each rounded)
+    solve_s, teacher_s = float(row["solve_s"]), float(row["teacher_s"])
+    assert solve_s >= 0.0 and teacher_s >= 0.0
+    assert solve_s + teacher_s <= float(row["time_s"]) + 0.02
 
     # a second run appends a row without repeating the header, and the run
     # itself is deterministic apart from the wall-clock column
@@ -58,8 +63,19 @@ def test_solve_rpni_writes_stats(tmp_path, capsys):
     capsys.readouterr()
     rows = read_rows(stats)
     assert len(rows) == 2
-    strip = lambda r: {k: v for k, v in r.items() if k != "time_s"}
+    timing = ("time_s", "solve_s", "teacher_s")
+    strip = lambda r: {k: v for k, v in r.items() if k not in timing}
     assert strip(rows[0]) == strip(rows[1])
+
+
+def test_solve_stats_refuses_a_file_with_other_columns(tmp_path, capsys):
+    game = write_halfline(tmp_path)
+    stats = tmp_path / "old.csv"
+    stats.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
+    rc = main(["solve", game, "--learner", "rpni", "--stats", str(stats)])
+    assert rc == 3
+    assert "other columns" in capsys.readouterr().err
+    assert stats.read_text(encoding="utf-8") == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_solve_out_then_verify_roundtrip(tmp_path, capsys):
@@ -81,6 +97,22 @@ def test_solve_emit_dot(tmp_path, capsys):
     rc = main(["solve", game, "--learner", "rpni", "--out", str(dot), "--emit", "dot"])
     assert rc == 0
     assert dot.read_text(encoding="utf-8").startswith("digraph")
+
+
+def test_solve_rejects_a_falsifying_external_model(tmp_path, capsys):
+    game = write_halfline(tmp_path)
+    liar = tmp_path / "liar.sh"
+    liar.write_text('#!/bin/sh\necho "s SATISFIABLE"\necho "v 1 0"\n')
+    os.chmod(liar, 0o755)
+    rc = main(["solve", game, "--solver", f"exec:{liar}"])
+    assert rc == 4
+    assert "falsifies" in capsys.readouterr().err
+
+
+def test_solve_has_no_seed_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "x.game", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_solve_missing_file(capsys):

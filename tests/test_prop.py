@@ -1,7 +1,9 @@
-"""Formula layer and satisfiability backends, checked against truth tables."""
+"""CNF backends: the internal solver and external ones, checked against
+brute-force model enumeration."""
 
 import os
 import random
+import tempfile
 import time
 
 import pytest
@@ -9,96 +11,15 @@ import pytest
 from winset.errors import ExternalSolverError, SolveTimeout
 from winset.prop import (
     CnfInstance,
-    FALSE,
-    TRUE,
-    conj,
-    disj,
-    eval_formula,
     external_solver,
-    imp,
+    falsified_clause,
     make_solver,
-    neg,
-    normalize,
     parse_dimacs,
     solve_internal,
-    to_cnf,
     to_dimacs,
 )
 
 from oracles import cnf_models_brute, cnf_satisfied
-
-
-def test_normalize():
-    assert normalize(neg(neg(3))) == 3
-    assert normalize(neg(2)) == -2
-    assert normalize(conj([])) == TRUE
-    assert normalize(disj([])) == FALSE
-    assert normalize(conj([1, conj([2, 3])])) == ("and", (1, 2, 3))
-    assert normalize(conj([1, 1])) == 1
-    assert normalize(conj([1, FALSE])) == FALSE
-    assert normalize(disj([1, TRUE])) == TRUE
-    assert normalize(imp(FALSE, 1)) == TRUE
-    assert normalize(imp(1, FALSE)) == -1
-    assert normalize(imp(TRUE, 7)) == 7
-    with pytest.raises(ValueError):
-        normalize(0)
-
-
-def test_eval_formula():
-    m = {1: True, 2: False}
-    assert eval_formula(imp(1, 2), m) is False
-    assert eval_formula(imp(2, 1), m) is True
-    assert eval_formula(conj([1, neg(2)]), m) is True
-    assert eval_formula(disj([2, -1]), m) is False
-
-
-def test_to_cnf_units():
-    assert to_cnf(5).clauses == [[5]] or to_cnf(5).clauses == [(5,)]
-    got = sorted(tuple(c) for c in to_cnf(conj([1, 2])).clauses)
-    assert got == [(1,), (2,)]
-
-
-def test_to_cnf_reserve_shifts_aux_vars():
-    f = disj([conj([1, 2]), conj([3, 4])])
-    cnf = to_cnf(f, reserve=100)
-    aux = {abs(l) for cl in cnf.clauses for l in cl if abs(l) > 4}
-    assert aux and min(aux) > 100
-    assert cnf.var_count >= max(aux)
-
-
-def random_formula(rng, budget):
-    """Random formula over vars 1..4 with at most `budget` nodes."""
-    if budget <= 1 or rng.random() < 0.3:
-        return rng.choice([1, 2, 3, 4, -1, -2])
-    kind = rng.choice(["and", "or", "imp", "not"])
-    if kind == "not":
-        return neg(random_formula(rng, budget - 1))
-    if kind == "imp":
-        half = (budget - 1) // 2
-        return imp(random_formula(rng, half), random_formula(rng, half))
-    width = rng.randint(2, 3)
-    parts = [random_formula(rng, (budget - 1) // width) for _ in range(width)]
-    return (kind, tuple(parts))
-
-
-def truth_table_sat(f):
-    for bits in range(16):
-        model = {v: bool(bits >> (v - 1) & 1) for v in (1, 2, 3, 4)}
-        if eval_formula(f, model):
-            return True
-    return False
-
-
-def test_to_cnf_matches_truth_table():
-    rng = random.Random(99)
-    for _ in range(120):
-        f = random_formula(rng, 12)
-        cnf = to_cnf(f)
-        model = solve_internal(cnf)
-        assert (model is not None) == truth_table_sat(f)
-        if model is not None:
-            assert cnf_satisfied(cnf.clauses, model)
-            assert eval_formula(f, model) is True
 
 
 def random_3cnf(rng, var_count, clause_count):
@@ -124,6 +45,52 @@ def test_solver_agrees_with_brute_force():
             sat += 1
             assert cnf_satisfied(cnf.clauses, model)
     assert sat >= 5 and unsat >= 5  # the mix actually exercises both answers
+
+
+def messy_cnf(rng, var_count, clause_count):
+    """Raw clauses as a careless encoder might emit them: repeated literals,
+    tautologies, duplicate clauses and units, over vars 1..var_count."""
+    clauses = []
+    for _ in range(clause_count):
+        kind = rng.random()
+        if kind < 0.15 and clauses:
+            clauses.append(list(rng.choice(clauses)))  # duplicate clause
+            continue
+        width = 1 if kind < 0.3 else rng.randint(2, 4)
+        clause = [rng.choice((1, -1)) * rng.randint(1, var_count) for _ in range(width)]
+        if kind > 0.85:
+            clause.append(-clause[0])  # tautology
+        elif kind > 0.7:
+            clause.append(clause[-1])  # repeated literal
+        clauses.append(clause)
+    return CnfInstance(var_count, clauses)
+
+
+def test_solver_takes_raw_clauses_as_they_come():
+    rng = random.Random(17)
+    answers = {True: 0, False: 0}
+    for trial in range(150):
+        nv = rng.randint(1, 8)
+        cnf = messy_cnf(rng, nv, rng.randint(1, 3 * nv + 2))
+        if trial % 25 == 0:
+            cnf.clauses.insert(rng.randint(0, len(cnf.clauses)), [])
+        before = [list(c) for c in cnf.clauses]
+        brute = cnf_models_brute(nv, cnf.clauses)
+        model = solve_internal(cnf)
+        assert (model is not None) == bool(brute), cnf
+        assert cnf.clauses == before  # the input is left as it was
+        if model is not None:
+            assert set(model) == set(range(1, nv + 1))
+            assert cnf_satisfied(cnf.clauses, model)
+            assert falsified_clause(cnf, model) is None
+        answers[model is not None] += 1
+    assert min(answers.values()) >= 20  # both answers exercised
+    # the hand-picked corner cases
+    assert solve_internal(CnfInstance(1, [[1, 1]])) == {1: True}
+    assert solve_internal(CnfInstance(1, [[1, -1]])) is not None
+    assert solve_internal(CnfInstance(1, [[1, 1], [-1, -1]])) is None
+    assert solve_internal(CnfInstance(2, [[2], [2], [-2, 1, -2]])) == {1: True, 2: True}
+    assert solve_internal(CnfInstance(2, [[1, 2], []])) is None
 
 
 def test_dimacs_round_trip():
@@ -183,6 +150,37 @@ def test_external_solver_stubs(tmp_path):
     missing = external_solver(str(tmp_path / "no-such-binary"))
     with pytest.raises(ExternalSolverError):
         missing(cnf)
+
+
+def test_external_solver_leaves_no_temp_files(tmp_path, monkeypatch):
+    bin_dir, temp_dir = tmp_path / "bin", tmp_path / "tmp"
+    bin_dir.mkdir()
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    cnf = CnfInstance(2, [[1, -2]])
+    sat = external_solver(write_script(bin_dir, "sat.sh", 'echo "s SATISFIABLE"\necho "v 1 -2 0"\n'))
+    assert sat(cnf) == {1: True, 2: False}
+    assert list(temp_dir.iterdir()) == []
+    uns = external_solver(write_script(bin_dir, "unsat.sh", 'echo "s UNSATISFIABLE"\n'))
+    assert uns(cnf) is None
+    assert list(temp_dir.iterdir()) == []
+    bad = external_solver(write_script(bin_dir, "bad.sh", 'echo "flaming garbage"\n'))
+    with pytest.raises(ExternalSolverError):
+        bad(cnf)
+    assert list(temp_dir.iterdir()) == []
+
+
+def test_external_solver_rejects_falsifying_model(tmp_path):
+    cnf = CnfInstance(3, [[1, -2], [2, 3]])
+    liar = external_solver(write_script(tmp_path, "liar.sh", 'echo "s SATISFIABLE"\necho "v -1 2 -3 0"\n'))
+    with pytest.raises(ExternalSolverError) as err:
+        liar(cnf)
+    assert "[1, -2]" in str(err.value)
+    # variables the solver leaves out count as false, as in the parsed model
+    terse = external_solver(write_script(tmp_path, "terse.sh", 'echo "SAT"\necho "1 0"\n'))
+    with pytest.raises(ExternalSolverError):
+        terse(cnf)
+    assert falsified_clause(cnf, {1: True, 2: False, 3: True}) is None
 
 
 def test_external_solver_real_backend(tmp_path):

@@ -4,7 +4,7 @@ a brute-force re-check, and the contradiction test."""
 import random
 
 from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, minimize, union
-from winset.prop import solve_internal, to_cnf
+from winset.prop import solve_internal
 from winset.sample import add, check_contradiction, chi, dump_sample, empty_sample, is_consistent
 from winset.teacher import Existential, Negative, Positive, normalize_consequent
 
@@ -139,7 +139,23 @@ def test_dump_sample_format():
 def test_chi_variable_order_and_model():
     a, aa = AB.word("a"), AB.word("a a")
     s = make_sample(AB, [a], [aa], [], [])
-    formula, var = chi(s)
+    cnf, var = chi(s)
     assert var == {a: 1, aa: 2}  # shortlex, ids from 1
-    model = solve_internal(to_cnf(formula))
+    assert cnf.var_count == 2 and cnf.clauses == [[1], [-2]]
+    model = solve_internal(cnf)
     assert model[1] is True and model[2] is False
+
+
+def test_chi_clauses_gates_and_count():
+    a, b, aa = AB.word("a"), AB.word("b"), AB.word("a a")
+    # a universal item with nothing to accept mentions no word
+    cnf, var = chi(make_sample(AB, [a], [], [], [(aa, [])]))
+    assert var == {a: 1, aa: 2}
+    assert cnf.var_count == 1 and cnf.clauses == [[1]]
+    # one gate per consequent word set; tautologies and repeats are left out
+    s = make_sample(AB, [], [], [(a, [a, b]), (a, [b])], [((), [a, b]), (a, [a, b]), (a, [b])])
+    cnf, var = chi(s)
+    assert var == {(): 1, a: 2, b: 3}
+    assert cnf.var_count == 4
+    assert cnf.clauses == [[-2, 3], [-4, 2], [-4, 3], [-1, 4], [-2, 4]]
+    assert solve_internal(cnf) is not None

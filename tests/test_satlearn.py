@@ -9,8 +9,8 @@ import pytest
 from winset.automata import Alphabet, from_words
 from winset.benchmarks import halfline_game
 from winset.errors import CapExceededError, InternalConsistencyError
-from winset.prop import solve_internal, to_cnf
-from winset.sample import Sample, add, empty_sample, is_consistent
+from winset.prop import solve_internal
+from winset.sample import Sample, add, chi, empty_sample, is_consistent
 from winset.satlearn import (
     VarBook,
     build_dfa_constraints,
@@ -29,20 +29,21 @@ UNARY = Alphabet(("l",))
 
 
 def solve_sample(s, n):
-    formula, book = build_formula(s, n)
-    model = solve_internal(to_cnf(formula, reserve=book.var_count))
+    cnf, book = build_formula(s, n)
+    model = solve_internal(cnf)
     return model, book
 
 
 def test_dfa_constraint_clause_counts():
     book = VarBook(empty_sample(AB), 2)
-    f = build_dfa_constraints(book)
-    assert f[0] == "and"
-    pairwise = [g for g in f[1] if all(lit < 0 for lit in g[1])]
-    totality = [g for g in f[1] if all(lit > 0 for lit in g[1])]
+    clauses = build_dfa_constraints(book)
+    pairwise = [c for c in clauses if all(lit < 0 for lit in c)]
+    totality = [c for c in clauses if all(lit > 0 for lit in c)]
     assert len(pairwise) == 2 * 2 * 2 * 1  # states x symbols x ordered pairs
+    assert all(len(c) == 2 for c in pairwise)
     assert len(totality) == 2 * 2
-    assert len(f[1]) == len(pairwise) + len(totality)
+    assert all(len(c) == 2 for c in totality)
+    assert len(clauses) == len(pairwise) + len(totality)
 
 
 def test_z_layer_bound():
@@ -58,8 +59,40 @@ def test_z_layer_bound():
 
 def test_run_constraints_on_empty_universe():
     book = VarBook(empty_sample(AB), 1)
-    f = build_run_constraints(book)
-    assert f == ("and", (book.x((), 0),))
+    assert build_run_constraints(book) == [[book.x((), 0)]]
+
+
+def test_gate_vars_are_appended_above_the_blocks():
+    a, b = AB.word("a"), AB.word("b")
+    s = make_sample(AB, [()], [a], [((), [a, b])], [((), [b])])
+    blocks = VarBook(s, 2).var_count
+    cnf, book = build_formula(s, 2)
+    assert cnf.var_count == book.var_count > blocks
+    used = {abs(lit) for clause in cnf.clauses for lit in clause}
+    # every gate variable is used, and numbered densely after the blocks
+    assert set(range(blocks + 1, cnf.var_count + 1)) <= used
+    # both implications share the one acceptance gate of the word eps
+    assert sum(1 for key in book.gates if key[0] == "acc") == 1
+    again, _ = build_formula(s, 2)
+    assert again == cnf  # the emission order is fixed
+
+
+def test_emitted_clauses_are_clean():
+    """Over acceptance check 4's random samples, every clause the encoders
+    emit mentions each variable once, and only variables 1..var_count."""
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(200):
+        s = make_sample(AB, *random_sample_parts(rng))
+        cnfs = [build_formula(s, n)[0] for n in (1, 2, 3)]
+        cnfs.append(chi(s)[0])
+        for cnf in cnfs:
+            for clause in cnf.clauses:
+                vs = [abs(lit) for lit in clause]
+                assert clause and len(set(vs)) == len(vs), clause
+                assert 1 <= min(vs) and max(vs) <= cnf.var_count, (clause, cnf.var_count)
+            checked += 1
+    assert checked == 800
 
 
 def test_pos_forces_accepting_initial():
