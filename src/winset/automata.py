@@ -421,22 +421,25 @@ def enumerate_finite(a):
     for (p, sym, q) in a.transitions:
         if p in useful and q in useful:
             adj.setdefault(p, []).append((sym, q))
+    # suffix sets in post-order over the acyclic useful graph, on an
+    # explicit stack: one word's automaton is as deep as the word is long
     memo = {}
-
-    def suffixes(q):
+    stack = [a.initial]
+    while stack:
+        q = stack[-1]
         if q in memo:
-            return memo[q]
-        memo[q] = set()  # the useful graph is acyclic, so no live recursion
-        out = set()
-        if q in a.accepting:
-            out.add(())
+            stack.pop()
+            continue
+        todo = [q2 for (_sym, q2) in adj.get(q, ()) if q2 not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        out = {()} if q in a.accepting else set()
         for (sym, q2) in adj.get(q, ()):
-            for w in suffixes(q2):
-                out.add((sym,) + w)
+            out.update((sym,) + w for w in memo[q2])
         memo[q] = out
-        return out
-
-    return sorted(suffixes(a.initial), key=shortlex_key)
+    return sorted(memo[a.initial], key=shortlex_key)
 
 
 def enumerate_upto(a, max_len):

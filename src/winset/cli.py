@@ -262,6 +262,9 @@ def main(argv=None):
     except WinsetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except Exception as e:  # a defect, not bad input: no traceback, exit 4
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -13,6 +13,17 @@ and takes clauses as they come: repeated literals, tautologies and duplicate
 clauses cost time but never change the answer.  An external solver can be
 plugged in through the DIMACS text format; every model it returns is checked
 against the clauses, while its UNSAT verdict is taken on trust.
+
+A CNF may carry an optional `symmetry` block: clauses over further
+variables that are satisfiable together with the main clauses whenever the
+main clauses are satisfiable alone, so UNSAT with the block proves UNSAT
+without it.  The internal backend runs the plain search on the main clauses
+first; a call that ends before its first restart never looks at the block.
+After a restart the plain search alternates, one restart interval each,
+with a second search on the main clauses plus the block, and the call ends
+as soon as either search proves UNSAT.  A model always comes from the plain search, so the answers are
+exactly those of the plain search alone.  The external backend ignores the
+block.
 """
 
 import heapq
@@ -29,6 +40,10 @@ from .errors import ExternalSolverError, SolveTimeout
 class CnfInstance:
     var_count: int
     clauses: list = field(default_factory=list)
+    # Optional extra clauses (symmetry breaking) over further variables,
+    # satisfiable together with `clauses` whenever `clauses` alone are; a
+    # CnfInstance whose var_count also counts the further variables.
+    symmetry: "CnfInstance | None" = None
 
 
 def falsified_clause(cnf, model):
@@ -228,7 +243,9 @@ class _Cdcl:
                 return v
         return None
 
-    def solve(self):
+    def search(self):
+        """The CDCL loop as a generator: it yields after each Luby restart and
+        returns the model (var -> bool), or None when unsatisfiable."""
         if not self.ok:
             return None
         for lit in self.units:
@@ -264,6 +281,7 @@ class _Cdcl:
                     ceiling = 64 * _luby(restart_round)
                     if self.trail_lim:
                         self._backtrack(0)
+                    yield
             else:
                 v = self._pick()
                 if v is None:
@@ -272,9 +290,40 @@ class _Cdcl:
                 self._enqueue(v if self.phase[v] else -v, None)
 
 
+_RESTART = object()
+
+
+def _advance(search):
+    """Run a `_Cdcl.search` up to its next restart: _RESTART, or its answer."""
+    try:
+        next(search)
+    except StopIteration as done:
+        return done.value
+    return _RESTART
+
+
 def solve_internal(cnf, deadline=None):
-    """Model as dict var -> bool, or None when unsatisfiable."""
-    return _Cdcl(cnf, deadline).solve()
+    """Model as dict var -> bool, or None when unsatisfiable.
+
+    The model is always the plain search's on `cnf.clauses`.  Once that
+    search restarts, a second search on the clauses plus `cnf.symmetry`
+    takes turns with it, one restart interval each; its UNSAT ends the call.
+    """
+    plain = _Cdcl(cnf, deadline).search()
+    answer = _advance(plain)
+    helper = None
+    if answer is _RESTART and cnf.symmetry is not None:
+        both = CnfInstance(cnf.symmetry.var_count, cnf.clauses + cnf.symmetry.clauses)
+        helper = _Cdcl(both, deadline).search()
+    while answer is _RESTART:
+        if helper is not None:
+            verdict = _advance(helper)
+            if verdict is None:
+                return None
+            if verdict is not _RESTART:
+                helper = None  # satisfiable: the plain search finds its own model
+        answer = _advance(plain)
+    return answer
 
 
 # ---------------------------------------------------------------- DIMACS

@@ -28,7 +28,31 @@ in order of first use, each implied by (or implying) what it stands for:
 
 The clause order and gate numbering are fixed, so the solver's search, and
 with it every model, is reproducible.
+
+`build_formula` also attaches, as the CNF's optional symmetry block, the
+BFS symmetry-breaking predicates of Ulyantsev, Zakirzyanov & Shalyto (LATA
+2015) over the d-variables, in variables numbered above all of the above:
+
+    t_{i,j}         (i < j) some transition i -> j is chosen
+    p_{j,i}         (i < j) i is j's BFS parent, the least state with a
+                    transition into j
+    m_{a,i,j}       (i < j) a is the least symbol on the transitions i -> j
+
+They hold for exactly one numbering of each DFA whose states are all
+reachable: breadth-first from state 0, each state's symbols in alphabet
+order.  They keep φ_n's satisfiability for every n, not only the minimal
+one.  Take a consistent DFA with at most n states and cut it to its
+reachable part, which accepts the same language.  While that part has
+k < n states, some transition lies off its BFS tree (a non-empty alphabet
+gives k·|Σ| ≥ k transitions against k − 1 tree edges); pointing it at a
+fresh copy of its target adds a reachable state and keeps the language.
+The BFS relabelling of the padded n-state DFA satisfies the predicates,
+so φ_n plus the block is UNSAT only when φ_n is.  `prop.solve_internal`
+uses the block only to refute: the model always comes from the plain
+search on φ_n, so conjectures do not depend on it.
 """
+
+import itertools
 
 from .automata import Dfa, shortlex_key
 from .errors import CapExceededError, InternalConsistencyError
@@ -271,13 +295,56 @@ def build_ex(book):
     return out
 
 
+def build_symmetry(book):
+    """The BFS predicates over the d-variables, rooted at state 0, as a
+    CnfInstance: they hold exactly when every state is reachable and the
+    numbering is breadth-first.  The t, p and m variables (see the module
+    docstring) are numbered from book.var_count + 1 on, in that order; the
+    book itself is left as it is."""
+    n, nsym = book.n, book.nsym
+    dt = book.d_table()
+    ids = itertools.count(book.var_count + 1)
+    t = {(i, j): next(ids) for i in range(n) for j in range(i + 1, n)}
+    p = {(j, i): next(ids) for j in range(1, n) for i in range(j)}
+    m = {(a, i, j): next(ids) for (i, j) in t for a in range(nsym)}
+    out = []
+    for (i, j), tij in t.items():
+        ds = [dt[i][a][j] for a in range(nsym)]
+        out.append([-tij] + ds)
+        out += [[-d, tij] for d in ds]
+    for (j, i), pji in p.items():
+        earlier = [t[k, j] for k in range(i)]
+        out.append([-pji, t[i, j]])
+        out += [[-pji, -tk] for tk in earlier]
+        out.append([pji, -t[i, j]] + earlier)
+    for j in range(1, n):
+        out.append([p[j, i] for i in range(j)])
+    # parents never decrease along the numbering
+    for j in range(1, n - 1):
+        for i in range(j):
+            out += [[-p[j, i], -p[j + 1, k]] for k in range(i)]
+    for (a, i, j), maij in m.items():
+        earlier = [dt[i][b][j] for b in range(a)]
+        out.append([-maij, dt[i][a][j]])
+        out += [[-maij, -d] for d in earlier]
+        out.append([maij, -dt[i][a][j]] + earlier)
+    # siblings are numbered in the order of their least symbols
+    for j in range(1, n - 1):
+        for i in range(j):
+            for a in range(nsym):
+                for b in range(a + 1, nsym):
+                    out.append([-p[j, i], -p[j + 1, i], -m[a, i, j + 1], -m[b, i, j]])
+    return CnfInstance(next(ids) - 1, out)
+
+
 def build_formula(sample, n):
-    """The CNF for φ_n over the sample; returns (CnfInstance, VarBook)."""
+    """The CNF for φ_n over the sample, with the BFS predicates attached as
+    its symmetry block; returns (CnfInstance, VarBook)."""
     book = VarBook(sample, n)
     clauses = build_dfa_constraints(book)
     for build in (build_run_constraints, build_pos, build_neg, build_uni, build_ex):
         clauses += build(book)
-    return CnfInstance(book.var_count, clauses), book
+    return CnfInstance(book.var_count, clauses, build_symmetry(book)), book
 
 
 def extract_dfa(model, book):

@@ -140,6 +140,29 @@ def exists_consistent_dfa(symbol_count, n, pos, neg, ex, uni):
     return False
 
 
+def bfs_order(delta):
+    """The states reachable from 0, in breadth-first order, each state's
+    symbols taken in alphabet order."""
+    order, seen = [0], {0}
+    for q in order:
+        for r in delta[q]:
+            if r not in seen:
+                seen.add(r)
+                order.append(r)
+    return order
+
+
+def labelled_words(rng, delta, acc, draws, max_len):
+    """The words of `draws` random samples, split into those the DFA
+    (delta, acc) accepts and those it rejects: a sample it fits."""
+    pos, neg = [], []
+    for _ in range(draws):
+        p, n, _ex, _uni = random_sample_parts(rng, max_len=max_len)
+        for w in p + n:
+            (pos if sample_holds_brute(delta, acc, [w], [], [], []) else neg).append(w)
+    return pos, neg
+
+
 def make_sample(alphabet, pos, neg, ex, uni):
     """Sample object from plain word tuples and word-list consequents."""
     return Sample(

@@ -8,6 +8,7 @@ exhaustive DFA enumeration.  Everything here is deterministic.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -120,7 +121,9 @@ def test_2_returned_sizes_are_minimal(sat_runs):
         if n == 1:
             continue  # nothing below one state
         cnf, _book = build_formula(res.sample, n - 1)
-        if solve_internal(cnf) is not None:
+        # the plain clause list alone: the proof must not lean on the
+        # symmetry block the learner used
+        if solve_internal(replace(cnf, symmetry=None)) is not None:
             ok = False
             break
         rechecked += 1

@@ -199,6 +199,13 @@ def test_empty_language_is_finite():
     assert enumerate_finite(a) == []
 
 
+def test_enumerate_finite_takes_a_1500_symbol_word():
+    # one state per symbol: a recursive walk would pass the recursion limit
+    w = SEL.word("s " + " ".join(["l"] * 1500))
+    assert enumerate_finite(word_automaton(SEL, w)) == [w]
+    assert enumerate_finite(from_words(SEL, [w, w[:3], ()])) == [(), w[:3], w]
+
+
 def test_enumerate_finite_is_shortlex_sorted_and_complete():
     rng = random.Random(23)
     done = 0

@@ -115,6 +115,17 @@ def test_solve_has_no_seed_flag():
     assert exc.value.code == 2
 
 
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(text):
+        raise KeyError("no such state")
+
+    monkeypatch.setattr("winset.cli.parse_game", broken)
+    rc = main(["solve", write_halfline(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err == "internal error: KeyError: 'no such state'\n"
+
+
 def test_solve_missing_file(capsys):
     rc = main(["solve", "/nonexistent/x.game"])
     assert rc == 3

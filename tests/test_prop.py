@@ -5,9 +5,11 @@ import os
 import random
 import tempfile
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from winset import prop
 from winset.errors import ExternalSolverError, SolveTimeout
 from winset.prop import (
     CnfInstance,
@@ -129,6 +131,63 @@ def test_deadline_raises_timeout():
         solve_internal(cnf, deadline=time.monotonic() - 1.0)
     # and with room it still finishes with the right answer
     assert solve_internal(cnf, deadline=time.monotonic() + 60.0) is None
+
+
+def watch_searches(monkeypatch):
+    """Record every `_Cdcl.search` that runs: whether it is running right
+    now, its restarts, and whether it timed out."""
+    runs = []
+    real = prop._Cdcl.search
+
+    def search(self):
+        run = SimpleNamespace(active=False, restarts=0, timed_out=False)
+        runs.append(run)
+        inner = real(self)
+        while True:
+            run.active = True
+            try:
+                next(inner)
+            except StopIteration as done:
+                return done.value
+            except SolveTimeout:
+                run.timed_out = True
+                raise
+            finally:
+                run.active = False
+            run.restarts += 1
+            yield
+
+    monkeypatch.setattr(prop._Cdcl, "search", search)
+    return runs
+
+
+def with_block(cnf, block_clauses):
+    """`cnf` with a symmetry block of `block_clauses` over its own variables."""
+    return CnfInstance(cnf.var_count, cnf.clauses, CnfInstance(cnf.var_count, block_clauses))
+
+
+def test_symmetry_block_waits_for_the_first_restart(monkeypatch):
+    runs = watch_searches(monkeypatch)
+    # an answer before the first restart never looks at the block (here one
+    # that breaks the block's promise, to show it is not read)
+    cnf = with_block(CnfInstance(2, [[1, 2], [-1, 2]]), [[2], [-2]])
+    assert solve_internal(cnf) == {1: False, 2: True}
+    assert len(runs) == 1
+    # after it, the block's search takes turns and its UNSAT ends the call
+    del runs[:]
+    assert solve_internal(with_block(pigeonhole(7, 6), [[1], [-1]])) is None
+    assert [run.restarts for run in runs] == [1, 0]
+
+
+def test_deadline_reaches_the_second_search(monkeypatch):
+    runs = watch_searches(monkeypatch)
+    # a clock that is past the deadline exactly while the block's search runs
+    second_running = lambda: len(runs) == 2 and runs[1].active
+    monkeypatch.setattr(prop, "time", SimpleNamespace(
+        monotonic=lambda: 10.0 if second_running() else 0.0))
+    with pytest.raises(SolveTimeout):
+        solve_internal(with_block(pigeonhole(7, 6), [[1, 2]]), deadline=5.0)
+    assert [run.timed_out for run in runs] == [False, True]
 
 
 def write_script(tmp_path, name, body):

@@ -2,27 +2,37 @@
 sat/unsat decisions cross-checked by exhaustive DFA enumeration, and the
 learning loop on the half-line game."""
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from winset import prop
 from winset.automata import Alphabet, from_words
 from winset.benchmarks import halfline_game
 from winset.errors import CapExceededError, InternalConsistencyError
-from winset.prop import solve_internal
+from winset.prop import CnfInstance, solve_internal
 from winset.sample import Sample, add, chi, empty_sample, is_consistent
 from winset.satlearn import (
     VarBook,
     build_dfa_constraints,
     build_formula,
     build_run_constraints,
+    build_symmetry,
     extract_dfa,
     learn,
     minimal_consistent_dfa,
 )
 from winset.teacher import query
 
-from oracles import exists_consistent_dfa, make_sample, random_sample_parts
+from oracles import (
+    bfs_order,
+    exists_consistent_dfa,
+    labelled_words,
+    make_sample,
+    random_sample_parts,
+)
 
 AB = Alphabet(("a", "b"))
 UNARY = Alphabet(("l",))
@@ -93,6 +103,77 @@ def test_emitted_clauses_are_clean():
                 assert 1 <= min(vs) and max(vs) <= cnf.var_count, (clause, cnf.var_count)
             checked += 1
     assert checked == 800
+
+
+def test_symmetry_predicates_pick_the_bfs_numbering():
+    """With the d-variables fixed to a total DFA, the predicates hold exactly
+    when every state is reachable from 0 and numbered breadth-first: one
+    labelling per reachable DFA.  Every DFA up to 3 states over 2 symbols
+    and up to 4 states over 1 symbol."""
+    for alphabet, n_max in ((AB, 3), (UNARY, 4)):
+        nsym = len(alphabet.symbols)
+        for n in range(1, n_max + 1):
+            book = VarBook(empty_sample(alphabet), n)
+            top = book.var_count
+            block = build_symmetry(book)
+            assert book.var_count == top  # the book is left as it was
+            # t, p and m: n(n-1)/2 each, m once per symbol; all used, above the book
+            assert block.var_count == top + n * (n - 1) // 2 * (2 + nsym)
+            used = {abs(lit) for clause in block.clauses for lit in clause}
+            assert set(range(top + 1, block.var_count + 1)) <= used <= set(range(1, block.var_count + 1))
+            labelled, shapes = 0, set()
+            for flat in itertools.product(range(n), repeat=n * nsym):
+                delta = [flat[p * nsym:(p + 1) * nsym] for p in range(n)]
+                fixed = [[book.d(p, a, q) if delta[p][a] == q else -book.d(p, a, q)]
+                         for p in range(n) for a in range(nsym) for q in range(n)]
+                model = solve_internal(CnfInstance(block.var_count, fixed + block.clauses))
+                order = bfs_order(delta)
+                assert (model is not None) == (order == list(range(n))), delta
+                labelled += model is not None
+                if len(order) == n:  # reachable: keep its breadth-first relabelling
+                    where = {q: i for i, q in enumerate(order)}
+                    shapes.add(tuple(tuple(where[r] for r in delta[q]) for q in order))
+            assert labelled == len(shapes)
+
+
+def test_symmetry_block_keeps_every_answer(monkeypatch):
+    """solve_internal returns the same model, or None, with and without the
+    BFS block, and appending the block's clauses keeps the SAT/UNSAT answer.
+    Acceptance check 4's samples (sizes 1-4) all end before the first
+    restart, so samples that a hidden 3-6 state DFA fits (sizes 1-5) are
+    added to reach the interleaved search, with both answers."""
+    solvers = []
+    real_init = prop._Cdcl.__init__
+
+    def init(self, cnf, deadline):
+        solvers.append(cnf)
+        real_init(self, cnf, deadline)
+
+    monkeypatch.setattr(prop._Cdcl, "__init__", init)
+    rng = random.Random(4)
+    cases = [(make_sample(AB, *random_sample_parts(rng)), (1, 2, 3, 4)) for _ in range(200)]
+    for _ in range(100):
+        k = rng.randint(3, 6)
+        delta = [[rng.randrange(k) for _ in AB.symbols] for _ in range(k)]
+        acc = {q for q in range(k) if rng.random() < 0.5}
+        pos, neg = labelled_words(rng, delta, acc, 8, 7)
+        cases.append((make_sample(AB, pos, neg, [], []), (1, 2, 3, 4, 5)))
+    interleaved = {"sat": 0, "unsat": 0, "sat above the minimum": 0}
+    for s, sizes in cases:
+        least = None
+        for n in sizes:
+            cnf, _book = build_formula(s, n)
+            del solvers[:]
+            model = solve_internal(cnf)
+            if model is not None and least is None:
+                least = n
+            if len(solvers) == 2:
+                interleaved["unsat" if model is None else "sat"] += 1
+                interleaved["sat above the minimum"] += model is not None and n > least
+            assert model == solve_internal(replace(cnf, symmetry=None))
+            both = CnfInstance(cnf.symmetry.var_count, cnf.clauses + cnf.symmetry.clauses)
+            assert (solve_internal(both) is None) == (model is None)
+    assert min(interleaved.values()) >= 5, interleaved
 
 
 def test_pos_forces_accepting_initial():
