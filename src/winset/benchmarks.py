@@ -95,10 +95,8 @@ class _Builder:
         conv = lambda x: None if x is None else self.alphabet.index(x)
         self.trans.add((src, conv(a), conv(b), dst))
 
-    def done(self, automatic=False):
-        return Transducer(
-            self.alphabet, self.n, 0, frozenset(self.trans), frozenset(self.acc), automatic
-        )
+    def done(self):
+        return Transducer(self.alphabet, self.n, 0, frozenset(self.trans), frozenset(self.acc))
 
 
 def _halfline_edges(alphabet):

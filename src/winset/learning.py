@@ -10,8 +10,9 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, ContradictionError, InternalConsistencyError, SolveTimeout
+from .errors import ExternalSolverError
 from .prop import solve_internal
-from .sample import add, check_contradiction, empty_sample
+from .sample import add, check_contradiction, chi, empty_sample
 from .teacher import query
 
 OUTCOMES = ("solved", "timeout", "contradiction", "cap-exceeded")
@@ -37,11 +38,14 @@ class LearnResult:
     sample: object = None
 
 
-def run_cegis(game, conjecture, tag, opts=None, on_counterexample=None):
+def run_cegis(game, conjecture, tag, opts=None):
     """Drive Algorithm-1-style learning with `conjecture(sample, solver, deadline)`.
 
     Returns a LearnResult whose outcome is one of OUTCOMES; `solved` implies
-    the returned DFA just passed the teacher's query.
+    the returned DFA just passed the teacher's query, and `contradiction`
+    that the internal solver found the sample's chi CNF unsatisfiable too.
+    A plugged-in solver's UNSAT that the internal one refutes raises
+    ExternalSolverError.
     """
     opts = opts or LearnOptions()
     solver = opts.solver or solve_internal
@@ -71,7 +75,7 @@ def run_cegis(game, conjecture, tag, opts=None, on_counterexample=None):
                 return result("timeout")
             iterations += 1
             if check_contradiction(s, solver, deadline) == "contradictory":
-                return result("contradiction")
+                break
             t0 = time.monotonic()
             d = conjecture(s, solver, deadline)
             solve_time += time.monotonic() - t0
@@ -80,8 +84,6 @@ def run_cegis(game, conjecture, tag, opts=None, on_counterexample=None):
             teacher_time += time.monotonic() - t0
             if cex is None:
                 return result("solved", d)
-            if on_counterexample is not None:
-                on_counterexample(cex)
             grown = add(s, cex)
             if grown is s:
                 raise InternalConsistencyError(
@@ -93,4 +95,14 @@ def run_cegis(game, conjecture, tag, opts=None, on_counterexample=None):
     except CapExceededError:
         return result("cap-exceeded")
     except ContradictionError:
-        return result("contradiction")
+        pass
+    # The sample's chi CNF was found unsatisfiable, by check_contradiction
+    # or inside the conjecture; an UNSAT from a plugged-in solver is not
+    # trusted until the internal solver proves it too.
+    try:
+        model = solve_internal(chi(s)[0], deadline)
+    except SolveTimeout:
+        return result("timeout")
+    if model is not None:
+        raise ExternalSolverError("the solver answered UNSAT on a satisfiable sample CNF")
+    return result("contradiction")

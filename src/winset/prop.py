@@ -12,7 +12,9 @@ first-UIP learning, phase saving, Luby restarts); it is fully deterministic
 and takes clauses as they come: repeated literals, tautologies and duplicate
 clauses cost time but never change the answer.  An external solver can be
 plugged in through the DIMACS text format; every model it returns is checked
-against the clauses, while its UNSAT verdict is taken on trust.
+against the clauses, while its UNSAT verdict is taken on trust here
+(`learning.run_cegis` re-proves the one that would end a run as a
+contradiction).
 
 A CNF may carry an optional `symmetry` block: clauses over further
 variables that are satisfiable together with the main clauses whenever the

@@ -7,24 +7,18 @@ symbol index or None (epsilon).  Both-epsilon transitions are silent moves.
 from dataclasses import dataclass
 
 from .automata import Alphabet, Nfa, as_nfa, check_word, word_automaton, _moves, _trim_reachable
-from .errors import AlphabetMismatchError, InvariantViolation
+from .errors import AlphabetMismatchError
 
 
 @dataclass(frozen=True)
 class Transducer:
-    """NFA over pairs (Sigma ∪ {eps}) x (Sigma ∪ {eps}).
-
-    `automatic=True` additionally asserts the padded (synchronous) shape:
-    no silent moves, and epsilon labels occur only as a trailing pad on one
-    track of a run. This is validated at construction time.
-    """
+    """NFA over pairs (Sigma ∪ {eps}) x (Sigma ∪ {eps})."""
 
     alphabet: Alphabet
     state_count: int
     initial: int
     transitions: frozenset  # of (src, in_label, out_label, dst); labels int | None
     accepting: frozenset
-    automatic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", frozenset(self.transitions))
@@ -45,8 +39,6 @@ class Transducer:
         for q in self.accepting:
             if not (0 <= q < n):
                 raise ValueError(f"accepting state out of range: {q}")
-        if self.automatic:
-            _check_automatic_shape(self)
 
 
 def _out_edges(t):
@@ -54,44 +46,6 @@ def _out_edges(t):
     for (p, a, b, q) in t.transitions:
         table.setdefault(p, []).append((a, b, q))
     return table
-
-
-def _check_automatic_shape(t):
-    """Reject epsilon labels that are not a trailing pad on a single track.
-
-    Walks (state, phase) pairs: phase 0 = synchronous, 1 = input exhausted
-    (only eps-in moves allowed), 2 = output exhausted.  Any reachable
-    transition that breaks the phase discipline violates the flag.
-    """
-    edges = _out_edges(t)
-    seen = {(t.initial, 0)}
-    stack = [(t.initial, 0)]
-    while stack:
-        (q, phase) = stack.pop()
-        for (a, b, q2) in edges.get(q, ()):
-            if a is None and b is None:
-                raise InvariantViolation("automatic", detail="silent (eps/eps) transition")
-            if a is None:
-                kind = 1
-            elif b is None:
-                kind = 2
-            else:
-                kind = 0
-            if kind == 0:
-                if phase != 0:
-                    raise InvariantViolation(
-                        "automatic", detail=f"synchronous move after padding at state {q}"
-                    )
-                nxt = (q2, 0)
-            else:
-                if phase not in (0, kind):
-                    raise InvariantViolation(
-                        "automatic", detail=f"padding switched tracks at state {q}"
-                    )
-                nxt = (q2, kind)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
 
 
 def accepts_pair(t, u, v):
@@ -129,7 +83,7 @@ def accepts_pair(t, u, v):
 def invert(t):
     """Swap in/out labels; realizes the inverse relation."""
     trans = frozenset((p, b, a, q) for (p, a, b, q) in t.transitions)
-    return Transducer(t.alphabet, t.state_count, t.initial, trans, t.accepting, t.automatic)
+    return Transducer(t.alphabet, t.state_count, t.initial, trans, t.accepting)
 
 
 def image(t, x):

@@ -18,7 +18,6 @@ from .errors import InfiniteBranchingError
 from .learning import LearnOptions, run_cegis
 from .prop import solve_internal
 from .sample import chi, finite_words, is_consistent
-from .teacher import Existential, Universal
 
 
 @dataclass(frozen=True)
@@ -171,11 +170,9 @@ def learn_rpni(game, opts=None):
     opts = opts or LearnOptions()
 
     def conjecture(s, solver, deadline):
+        for (u, a) in s.ex + s.uni:
+            if finite_words(a) is None:
+                raise InfiniteBranchingError(s.alphabet.text(u))
         return merge_learn(s, solver=solver, deadline=deadline)
 
-    def on_counterexample(cex):
-        if isinstance(cex, (Existential, Universal)):
-            if finite_words(cex.consequent) is None:
-                raise InfiniteBranchingError(game.alphabet.text(cex.word))
-
-    return run_cegis(game, conjecture, "rpni", opts, on_counterexample=on_counterexample)
+    return run_cegis(game, conjecture, "rpni", opts)

@@ -14,20 +14,18 @@ Variable families (all housed in a VarBook, one per (sample, n) build):
                     the intersection is witnessed by one of length ≤ k
 
 All four constraint families share the one x-universe, so a word's run is
-encoded once no matter how many sample items mention it.  Almost every
-constraint is a clause as it stands (Heule & Verwer, ICGI 2010; Neider,
-ATVA 2012).  The rest go through gate variables, numbered after the blocks
-in order of first use, each implied by (or implying) what it stands for:
+encoded once no matter how many sample items mention it.  Each constraint
+is the clause it stands for (Heule & Verwer, ICGI 2010; Neider, ATVA 2012),
+with gate variables, numbered after the blocks as the encoders first use
+them, only where a clause would otherwise need a conjunction:
 
-    acc_u           one per antecedent u, implied by "the DFA accepts u",
-                    shared by the universal and existential items on u
-    support gates   z_{q,q',l} implies some predecessor pair (d, z_{l-1});
-                    one gate per pair, one per disjunction, both memoized
-    witness gates   acc_u implies some accepting z: the same gate shapes
-    universal gates acc_u implies a gate that implies every y → f clause
-
-The clause order and gate numbering are fixed, so the solver's search, and
-with it every model, is reproducible.
+    acc_u           one per antecedent u, shared by its universal and
+                    existential items: one clause [acc_u, -x_{u,q}, -f_q]
+                    per state q; a universal item then adds [-acc_u, -y, f]
+                    per (state, accepting consequent state) pair
+    pair gates      one per pair (a, b), implying a ∧ b, memoized: a support
+                    clause lists z_{q,q',l}'s predecessor pairs (d, z_{l-1}),
+                    a witness clause lists acc_u's accepting pairs (z, f)
 
 `build_formula` also attaches, as the CNF's optional symmetry block, the
 BFS symmetry-breaking predicates of Ulyantsev, Zakirzyanov & Shalyto (LATA
@@ -148,8 +146,8 @@ def build_dfa_constraints(book):
 
 
 def _at_most_one(lits):
-    """Pairwise exclusion, once per ordered pair."""
-    return [[-a, -b] for a in lits for b in lits if a != b]
+    """Pairwise exclusion, once per unordered pair."""
+    return [[-a, -b] for i, a in enumerate(lits) for b in lits[i + 1:]]
 
 
 def build_run_constraints(book):
@@ -188,28 +186,8 @@ def _accept_gate(book, u, out):
     g = book.gates.get(key)
     if g is None:
         g = book.gates[key] = book.new_var()
-        if book.n == 1:
-            out.append([g, -book.x(u, 0), -book.f(0)])
-        else:
-            for q in range(book.n):
-                h = book.new_var()  # implied by "the run on u ends in accepting q"
-                out.append([h, -book.x(u, q), -book.f(q)])
-                out.append([g, -h])
+        out += [[g, -book.x(u, q), -book.f(q)] for q in range(book.n)]
     return g
-
-
-def _some_pair(book, pairs, out):
-    """[] when `pairs` is empty, else [g] with g implying a ∧ b for some
-    (a, b) in `pairs`: the pair's own gate, or for two or more pairs a
-    disjunction gate over theirs.  Every gate is memoized."""
-    if len(pairs) < 2:
-        return _pair_gates(book, pairs, out)
-    key = tuple(pairs)
-    g = book.gates.get(key)
-    if g is None:
-        g = book.gates[key] = book.new_var()  # numbered before its pair gates
-        out.append([-g] + _pair_gates(book, pairs, out))
-    return [g]
 
 
 def _pair_gates(book, pairs, out):
@@ -242,19 +220,9 @@ def build_uni(book):
                     if p == q and pa == qa:
                         continue  # y → y: a tautology
                     out.append([-yp, -dps[q], y[q][qa]])
-        rhs = [(y[q][qa], book.f(q)) for q in range(n) for qa in sorted(a.accepting)]
-        if not rhs:
-            continue  # nothing to accept
-        acc = _accept_gate(book, u, out)
-        g = book.new_var()  # implies y → f for every pair
-        if len(rhs) == 1:
-            out.append([-g, -rhs[0][0], rhs[0][1]])
-        else:
-            for (yq, fq) in rhs:
-                h = book.new_var()
-                out.append([-h, -yq, fq])
-                out.append([-g, h])
-        out.append([-acc, g])
+        if a.accepting:
+            acc = _accept_gate(book, u, out)
+            out += [[-acc, -y[q][qa], book.f(q)] for q in range(n) for qa in sorted(a.accepting)]
     return out
 
 
@@ -286,12 +254,12 @@ def build_ex(book):
                     support = [
                         (dt[p][sym][q], zprev[p][pa]) for (pa, sym) in into.get(qa, ()) for p in range(n)
                     ]
-                    out.append([-zl[q][qa]] + _some_pair(book, support, out))
+                    out.append([-zl[q][qa]] + _pair_gates(book, support, out))
         witness = [
             (zl[q][qa], book.f(q)) for zl in z for q in range(n) for qa in sorted(a.accepting)
         ]
         acc = _accept_gate(book, u, out)
-        out.append([-acc] + _some_pair(book, witness, out))
+        out.append([-acc] + _pair_gates(book, witness, out))
     return out
 
 

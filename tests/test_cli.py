@@ -109,6 +109,17 @@ def test_solve_rejects_a_falsifying_external_model(tmp_path, capsys):
     assert "falsifies" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("learner", ["sat", "rpni"])
+def test_solve_rejects_an_external_unsat_on_a_satisfiable_sample(tmp_path, capsys, learner):
+    game = write_halfline(tmp_path)
+    liar = tmp_path / "unsat.sh"
+    liar.write_text('#!/bin/sh\necho "s UNSATISFIABLE"\n')
+    os.chmod(liar, 0o755)
+    rc = main(["solve", game, "--learner", learner, "--solver", f"exec:{liar}"])
+    assert rc == 4
+    assert "UNSAT on a satisfiable" in capsys.readouterr().err
+
+
 def test_solve_has_no_seed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "x.game", "--seed", "1"])

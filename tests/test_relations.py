@@ -5,7 +5,7 @@ import random
 import pytest
 
 from winset.automata import Alphabet, Nfa, accepts, from_words, union, word_automaton
-from winset.errors import AlphabetMismatchError, InvariantViolation
+from winset.errors import AlphabetMismatchError
 from winset.relations import Transducer, accepts_pair, image, invert, successors
 
 from oracles import all_words, language_upto, pair_accepted_brute, random_transducer
@@ -117,20 +117,6 @@ def test_successors_examples():
     assert language_upto(successors(t, SEL.word("e")), 4) == {SEL.word("s")}
     none = Transducer(SEL, 1, 0, frozenset(), frozenset())
     assert language_upto(successors(none, SEL.word("s")), 4) == set()
-
-
-def test_automatic_flag_checks_shape():
-    # synchronous steps followed by output padding: fine
-    Transducer(AB, 2, 0, frozenset({(0, 0, 0, 0), (0, None, 1, 1)}),
-               frozenset({1}), automatic=True)
-    with pytest.raises(InvariantViolation):
-        # a silent move is not allowed in an automatic relation
-        Transducer(AB, 1, 0, frozenset({(0, None, None, 0)}),
-                   frozenset({0}), automatic=True)
-    with pytest.raises(InvariantViolation):
-        # padding may not switch back to consuming input
-        Transducer(AB, 2, 0, frozenset({(0, None, 1, 1), (1, 0, 0, 1)}),
-                   frozenset({1}), automatic=True)
 
 
 def test_image_rejects_alphabet_mismatch():

@@ -7,9 +7,15 @@ import pytest
 
 from winset.automata import Alphabet, Nfa
 from winset.benchmarks import halfline_game
-from winset.errors import ContradictionError, InfiniteBranchingError, InfiniteConsequentError
+from winset.errors import (
+    ContradictionError,
+    ExternalSolverError,
+    InfiniteBranchingError,
+    InfiniteConsequentError,
+)
 from winset.game import RationalSafetyGame, validate_game
 from winset.learning import LearnOptions
+from winset.prop import solve_internal
 from winset.relations import Transducer
 from winset.rpni import choose_positive_closure, learn_rpni, merge_learn, prefix_tree_acceptor
 from winset.sample import Sample, is_consistent
@@ -208,6 +214,19 @@ def test_learn_rpni_rejects_infinite_branching():
     with pytest.raises(InfiniteBranchingError) as err:
         learn_rpni(g)
     assert "s" in str(err.value)
+
+
+def test_a_wrong_unsat_in_the_closure_is_not_a_contradiction():
+    # the contradiction check's call answers truly, the closure's call lies
+    calls = []
+
+    def second_call_lies(cnf, deadline=None):
+        calls.append(cnf)
+        return None if len(calls) == 2 else solve_internal(cnf, deadline)
+
+    with pytest.raises(ExternalSolverError):
+        learn_rpni(halfline_game(2), LearnOptions(solver=second_call_lies))
+    assert len(calls) == 2
 
 
 def test_learn_rpni_timeout_is_an_outcome():

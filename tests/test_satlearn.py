@@ -2,9 +2,13 @@
 sat/unsat decisions cross-checked by exhaustive DFA enumeration, and the
 learning loop on the half-line game."""
 
+import contextlib
+import io
 import itertools
 import random
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from winset.automata import Alphabet, from_words
 from winset.benchmarks import halfline_game
 from winset.errors import CapExceededError, InternalConsistencyError
 from winset.prop import CnfInstance, solve_internal
+from winset.rpni import learn_rpni
 from winset.sample import Sample, add, chi, empty_sample, is_consistent
 from winset.satlearn import (
     VarBook,
@@ -49,7 +54,7 @@ def test_dfa_constraint_clause_counts():
     clauses = build_dfa_constraints(book)
     pairwise = [c for c in clauses if all(lit < 0 for lit in c)]
     totality = [c for c in clauses if all(lit > 0 for lit in c)]
-    assert len(pairwise) == 2 * 2 * 2 * 1  # states x symbols x ordered pairs
+    assert len(pairwise) == 2 * 2 * 1  # states x symbols x unordered pairs
     assert all(len(c) == 2 for c in pairwise)
     assert len(totality) == 2 * 2
     assert all(len(c) == 2 for c in totality)
@@ -89,11 +94,14 @@ def test_gate_vars_are_appended_above_the_blocks():
 
 def test_emitted_clauses_are_clean():
     """Over acceptance check 4's random samples, every clause the encoders
-    emit mentions each variable once, and only variables 1..var_count."""
+    emit mentions each variable once, and only variables 1..var_count; and
+    no two clauses of one encoding have the same set of literals.  Repeated
+    items are merged first, as `add` merges them in a learned sample."""
     rng = random.Random(4)
     checked = 0
     for _ in range(200):
         s = make_sample(AB, *random_sample_parts(rng))
+        s = Sample(AB, *(tuple(dict.fromkeys(items)) for items in (s.pos, s.neg, s.ex, s.uni)))
         cnfs = [build_formula(s, n)[0] for n in (1, 2, 3)]
         cnfs.append(chi(s)[0])
         for cnf in cnfs:
@@ -101,6 +109,8 @@ def test_emitted_clauses_are_clean():
                 vs = [abs(lit) for lit in clause]
                 assert clause and len(set(vs)) == len(vs), clause
                 assert 1 <= min(vs) and max(vs) <= cnf.var_count, (clause, cnf.var_count)
+            distinct = {frozenset(clause) for clause in cnf.clauses}
+            assert len(distinct) == len(cnf.clauses), cnf.var_count
             checked += 1
     assert checked == 800
 
@@ -349,3 +359,13 @@ def test_learn_end_to_end():
     assert res.iterations >= 2
     assert res.sample_sizes[0] >= 1  # at least the first positive word
     assert res.wall_time >= res.solve_time >= 0.0
+
+
+def test_unwinnable_demo_ends_in_contradiction():
+    """The contradiction outcome survives its internal re-check, with both
+    learners on the demo's game that player 0 cannot win."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "unwinnable.py"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        game = runpy.run_path(str(demo))["game"]
+    assert "contradiction" in out.getvalue()
+    assert learn_rpni(game).outcome == "contradiction"
