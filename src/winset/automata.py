@@ -494,25 +494,14 @@ def minimize(d):
         if new_block == block:
             break
         block = new_block
-    # BFS renumbering of the quotient, starting at the initial block
-    renum = {block[0]: 0}
-    order = [block[0]]
-    rep = {block[q]: q for q in reversed(range(n))}  # least representative
-    i = 0
-    while i < len(order):
-        b = order[i]
-        q = rep[b]
-        for sym in range(nsym):
-            b2 = block[d.delta[q][sym]]
-            if b2 not in renum:
-                renum[b2] = len(order)
-                order.append(b2)
-        i += 1
+    # block 0 holds state 0, so the reachable trim of the quotient numbers
+    # its blocks breadth-first from the initial one
+    rep = {block[q]: q for q in range(n)}
     delta = tuple(
-        tuple(renum[block[d.delta[rep[b]][sym]]] for sym in range(nsym)) for b in order
+        tuple(block[d.delta[rep[b]][sym]] for sym in range(nsym)) for b in range(len(rep))
     )
-    accepting = frozenset(renum[block[q]] for q in d.accepting)
-    return Dfa(d.alphabet, len(order), delta, accepting)
+    accepting = frozenset(block[q] for q in d.accepting)
+    return _reach_trim_dfa(Dfa(d.alphabet, len(rep), delta, accepting))
 
 
 def trim(a):

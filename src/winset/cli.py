@@ -16,7 +16,6 @@ from .errors import (
     ExternalSolverError,
     GameFormatError,
     InfiniteBranchingError,
-    InfiniteConsequentError,
     InternalConsistencyError,
     InvariantViolation,
     WinsetError,
@@ -249,8 +248,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GameFormatError, InvariantViolation, InfiniteBranchingError,
-            InfiniteConsequentError, ValueError) as e:
+    except (GameFormatError, InvariantViolation, InfiniteBranchingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ContradictionError as e:

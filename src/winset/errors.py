@@ -50,10 +50,6 @@ class ContradictionError(WinsetError):
     """The sample admits no consistent DFA (Player 1 may win from I)."""
 
 
-class InfiniteConsequentError(WinsetError):
-    """An implication consequent has an infinite language where a finite one is required."""
-
-
 class InfiniteBranchingError(WinsetError):
     """A vertex has infinitely many successors (state-merging learner precondition)."""
 

@@ -1,18 +1,19 @@
 """The counterexample-guided loop shared by both learners.
 
-One iteration: check the sample is still satisfiable at all, build a
-conjecture consistent with it, ask the teacher, and either finish or grow
-the sample with the counterexample.  Everything is wall-clock bounded; the
-solver backends check the same deadline cooperatively.
+One iteration: build a conjecture consistent with the sample, ask the
+teacher, and either finish or grow the sample with the counterexample.
+Each learner's conjecture starts with `sample.check_contradiction`, the one
+solve of the sample's chi CNF per iteration; its ContradictionError ends
+the run as `contradiction`.  Everything is wall-clock bounded; the solver
+backends check the same deadline cooperatively.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceededError, ContradictionError, InternalConsistencyError, SolveTimeout
-from .errors import ExternalSolverError
 from .prop import solve_internal
-from .sample import add, check_contradiction, chi, empty_sample
+from .sample import add, empty_sample
 from .teacher import query
 
 OUTCOMES = ("solved", "timeout", "contradiction", "cap-exceeded")
@@ -43,9 +44,8 @@ def run_cegis(game, conjecture, tag, opts=None):
 
     Returns a LearnResult whose outcome is one of OUTCOMES; `solved` implies
     the returned DFA just passed the teacher's query, and `contradiction`
-    that the internal solver found the sample's chi CNF unsatisfiable too.
-    A plugged-in solver's UNSAT that the internal one refutes raises
-    ExternalSolverError.
+    that the conjecture raised ContradictionError (the sample's chi CNF is
+    unsatisfiable).
     """
     opts = opts or LearnOptions()
     solver = opts.solver or solve_internal
@@ -74,8 +74,6 @@ def run_cegis(game, conjecture, tag, opts=None):
             if time.monotonic() > deadline:
                 return result("timeout")
             iterations += 1
-            if check_contradiction(s, solver, deadline) == "contradictory":
-                break
             t0 = time.monotonic()
             d = conjecture(s, solver, deadline)
             solve_time += time.monotonic() - t0
@@ -95,14 +93,4 @@ def run_cegis(game, conjecture, tag, opts=None):
     except CapExceededError:
         return result("cap-exceeded")
     except ContradictionError:
-        pass
-    # The sample's chi CNF was found unsatisfiable, by check_contradiction
-    # or inside the conjecture; an UNSAT from a plugged-in solver is not
-    # trusted until the internal solver proves it too.
-    try:
-        model = solve_internal(chi(s)[0], deadline)
-    except SolveTimeout:
-        return result("timeout")
-    if model is not None:
-        raise ExternalSolverError("the solver answered UNSAT on a satisfiable sample CNF")
-    return result("contradiction")
+        return result("contradiction")

@@ -13,7 +13,7 @@ and takes clauses as they come: repeated literals, tautologies and duplicate
 clauses cost time but never change the answer.  An external solver can be
 plugged in through the DIMACS text format; every model it returns is checked
 against the clauses, while its UNSAT verdict is taken on trust here
-(`learning.run_cegis` re-proves the one that would end a run as a
+(`sample.check_contradiction` re-proves the one that would end a run as a
 contradiction).
 
 A CNF may carry an optional `symmetry` block: clauses over further
@@ -366,7 +366,9 @@ def parse_dimacs(text):
 
 
 def _parse_solver_output(text, var_count):
-    tokens = text.split()
+    # a line whose first token is `c` is a comment, whatever else it says
+    lines = (line.split() for line in text.splitlines())
+    tokens = [tok for toks in lines if toks[:1] != ["c"] for tok in toks]
     ints = []
     for tok in tokens:
         upper = tok.upper()

@@ -13,11 +13,9 @@ import time
 from dataclasses import dataclass
 
 from .automata import Dfa, _reach_trim_dfa, shortlex_key
-from .errors import ContradictionError, InfiniteConsequentError, SolveTimeout
-from .errors import InfiniteBranchingError
-from .learning import LearnOptions, run_cegis
-from .prop import solve_internal
-from .sample import chi, finite_words, is_consistent
+from .errors import InfiniteBranchingError, SolveTimeout
+from .learning import run_cegis
+from .sample import check_contradiction, finite_words, is_consistent
 
 
 @dataclass(frozen=True)
@@ -47,24 +45,6 @@ def prefix_tree_acceptor(alphabet, words):
             rows[index[u[:-1]]][u[-1]] = index[u]
     accepting = frozenset(index[w] for w in words)
     return PartialDfa(alphabet, len(ordered), tuple(tuple(r) for r in rows), accepting)
-
-
-def choose_positive_closure(s, solver=None, deadline=None):
-    """Some word set Pos' ⊇ Pos that settles every implication, via a model
-    of the chi CNF; the PTA of Pos' is consistent with the sample."""
-    built = chi(s)
-    if built is None:
-        raise InfiniteConsequentError(
-            "an implication consequent is infinite; the merging learner needs "
-            "finitely branching games"
-        )
-    cnf, var = built
-    model = (solver or solve_internal)(cnf, deadline)
-    if model is None:
-        raise ContradictionError("sample is contradictory: Player 1 may win from I")
-    return tuple(
-        sorted((w for w, v in var.items() if model.get(v, False)), key=shortlex_key)
-    )
 
 
 def _find(parent, x):
@@ -133,11 +113,17 @@ def _quotient_dfa(alphabet, parent, succ, accs):
 def merge_learn(s, solver=None, deadline=None, on_merge=None):
     """One conjecture: PTA of the chi closure, folded greedily.
 
-    `on_merge(dfa, ok)` is invoked after every attempted merge with the trial
-    quotient and the consistency verdict; the first passing merge is kept.
+    The closure is `check_contradiction`'s, so a contradictory sample raises
+    ContradictionError; an implication whose consequent is infinite raises
+    InfiniteBranchingError naming its vertex.  `on_merge(dfa, ok)` is
+    invoked after every attempted merge with the trial quotient and the
+    consistency verdict; the first passing merge is kept.
     """
-    pos_closure = choose_positive_closure(s, solver, deadline)
-    pta = prefix_tree_acceptor(s.alphabet, pos_closure)
+    closure = check_contradiction(s, solver, deadline)
+    if closure is None:
+        u = next(u for (u, a) in s.ex + s.uni if finite_words(a) is None)
+        raise InfiniteBranchingError(s.alphabet.text(u))
+    pta = prefix_tree_acceptor(s.alphabet, closure)
     n = pta.state_count
     parent = list(range(n))
     succ = {
@@ -167,12 +153,4 @@ def merge_learn(s, solver=None, deadline=None, on_merge=None):
 def learn_rpni(game, opts=None):
     """CEGIS with the merging learner; infinite branching is reported as an
     error naming the offending vertex."""
-    opts = opts or LearnOptions()
-
-    def conjecture(s, solver, deadline):
-        for (u, a) in s.ex + s.uni:
-            if finite_words(a) is None:
-                raise InfiniteBranchingError(s.alphabet.text(u))
-        return merge_learn(s, solver=solver, deadline=deadline)
-
-    return run_cegis(game, conjecture, "rpni", opts)
+    return run_cegis(game, merge_learn, "rpni", opts)

@@ -18,7 +18,7 @@ from .automata import (
     shortest_word,
     shortlex_key,
 )
-from .errors import InternalConsistencyError
+from .errors import ContradictionError, ExternalSolverError, InternalConsistencyError
 from .prop import CnfInstance, solve_internal
 from .teacher import Existential, Negative, Positive, Universal
 
@@ -156,14 +156,23 @@ def chi(s):
 
 
 def check_contradiction(s, solver=None, deadline=None):
-    """'consistent' | 'contradictory' | 'unknown' (infinite consequents)."""
+    """The words a model of chi puts in the language (a frozenset Pos' ⊇ Pos
+    that settles every implication), or None when some consequent is
+    infinite.  Raises ContradictionError when chi is unsatisfiable.
+
+    A plugged-in solver's UNSAT is not trusted until the internal solver
+    proves it too; a model there raises ExternalSolverError.
+    """
     built = chi(s)
     if built is None:
-        return "unknown"
-    cnf, _var = built
-    solver = solver or solve_internal
-    model = solver(cnf, deadline)
-    return "consistent" if model is not None else "contradictory"
+        return None
+    cnf, var = built
+    model = (solver or solve_internal)(cnf, deadline)
+    if model is None:
+        if solver not in (None, solve_internal) and solve_internal(cnf, deadline) is not None:
+            raise ExternalSolverError("the solver answered UNSAT on a satisfiable sample CNF")
+        raise ContradictionError("sample is contradictory: Player 1 may win from I")
+    return frozenset(w for w, v in var.items() if model.get(v, False))
 
 
 def dump_sample(s):

@@ -56,6 +56,7 @@ from .automata import Dfa, shortlex_key
 from .errors import CapExceededError, InternalConsistencyError
 from .learning import LearnOptions, run_cegis
 from .prop import CnfInstance, solve_internal
+from .sample import check_contradiction
 
 
 class VarBook:
@@ -352,6 +353,7 @@ def learn(game, opts=None):
     floor = [1]
 
     def conjecture(s, solver, deadline):
+        check_contradiction(s, solver, deadline)  # raises on a contradictory sample
         d = minimal_consistent_dfa(
             s, n_cap=opts.max_states, solver=solver, deadline=deadline,
             n_start=floor[0],

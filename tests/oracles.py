@@ -7,7 +7,7 @@ calls the library code it is used to judge.
 
 import itertools
 
-from winset.automata import Dfa, from_words
+from winset.automata import Alphabet, Dfa, Nfa, from_words
 from winset.game import RationalSafetyGame, validate_game
 from winset.relations import Transducer
 from winset.sample import Sample
@@ -304,3 +304,18 @@ def random_finite_game(rng, alphabet, max_vertices=12):
     )
     validate_game(game)
     return game, (vertices, v0, edges, safe, initial)
+
+
+def infinitely_branching_game():
+    """One Player-0 vertex, s, whose successor set is the infinite language
+    e l* (every successor a Player-1 vertex without moves)."""
+    sel = Alphabet(("s", "e", "l"))
+    s, e, l = (sel.index(c) for c in "sel")
+    s_only = Nfa(sel, 2, 0, frozenset({(0, s, 1)}), frozenset({1}))
+    e_tail = Nfa(sel, 2, 0, frozenset({(0, e, 1), (1, l, 1)}), frozenset({1}))
+    return validate_game(RationalSafetyGame(
+        sel, v0=s_only, v1=e_tail,
+        edges=Transducer(sel, 2, 0, frozenset({(0, s, e, 1), (1, None, l, 1)}), frozenset({1})),
+        safe=Nfa(sel, 2, 0, frozenset({(0, s, 1), (0, e, 1), (1, l, 1)}), frozenset({1})),
+        initial=s_only,
+    ))

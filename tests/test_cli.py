@@ -14,6 +14,8 @@ from winset.benchmarks import halfline_game
 from winset.cli import CSV_COLUMNS, STATS_COLUMNS, main
 from winset.game import RationalSafetyGame, parse_game, serialize_dfa, serialize_game
 
+from oracles import infinitely_branching_game
+
 
 def write_halfline(tmp_path, k=2):
     path = tmp_path / "half.game"
@@ -118,6 +120,15 @@ def test_solve_rejects_an_external_unsat_on_a_satisfiable_sample(tmp_path, capsy
     rc = main(["solve", game, "--learner", learner, "--solver", f"exec:{liar}"])
     assert rc == 4
     assert "UNSAT on a satisfiable" in capsys.readouterr().err
+
+
+def test_solve_infinite_branching_is_an_input_error_for_rpni_only(tmp_path, capsys):
+    path = tmp_path / "branching.game"
+    path.write_text(serialize_game(infinitely_branching_game()), encoding="utf-8")
+    assert main(["solve", str(path), "--learner", "rpni"]) == 3
+    assert "infinitely many successors" in capsys.readouterr().err
+    assert main(["solve", str(path), "--learner", "sat"]) == 0
+    assert "solved: learner=sat" in capsys.readouterr().out
 
 
 def test_solve_has_no_seed_flag():

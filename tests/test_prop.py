@@ -211,6 +211,19 @@ def test_external_solver_stubs(tmp_path):
         missing(cnf)
 
 
+def test_external_solver_skips_comment_lines(tmp_path):
+    cnf = CnfInstance(2, [[1, -2]])
+    chatty = external_solver(write_script(tmp_path, "chatty.sh", (
+        'echo "c CaDiCaL 1.9"\n'                       # was an unexpected token
+        'echo "c 12 conflicts"\n'                      # was read as the literal 12
+        'echo "c no UNSAT core: the formula is SAT"\n'  # was an UNSAT verdict
+        'echo "s SATISFIABLE"\necho "v 1 -2 0"\n'
+    )))
+    assert chatty(cnf) == {1: True, 2: False}
+    uns = external_solver(write_script(tmp_path, "uns.sh", 'echo "c 3 conflicts"\necho "s UNSATISFIABLE"\n'))
+    assert uns(cnf) is None
+
+
 def test_external_solver_leaves_no_temp_files(tmp_path, monkeypatch):
     bin_dir, temp_dir = tmp_path / "bin", tmp_path / "tmp"
     bin_dir.mkdir()

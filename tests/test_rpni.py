@@ -1,27 +1,20 @@
-"""Merging-learner tests: prefix tree shape, the chi-driven positive closure,
-merge behavior on small frozen cases, and the CEGIS wrapper."""
+"""Merging-learner tests: prefix tree shape, merge behavior on small frozen
+cases, and the CEGIS wrapper."""
 
 import random
 
 import pytest
 
-from winset.automata import Alphabet, Nfa
+from winset.automata import Alphabet
 from winset.benchmarks import halfline_game
-from winset.errors import (
-    ContradictionError,
-    ExternalSolverError,
-    InfiniteBranchingError,
-    InfiniteConsequentError,
-)
-from winset.game import RationalSafetyGame, validate_game
+from winset.errors import ContradictionError, ExternalSolverError, InfiniteBranchingError
 from winset.learning import LearnOptions
 from winset.prop import solve_internal
-from winset.relations import Transducer
-from winset.rpni import choose_positive_closure, learn_rpni, merge_learn, prefix_tree_acceptor
-from winset.sample import Sample, is_consistent
+from winset.rpni import learn_rpni, merge_learn, prefix_tree_acceptor
+from winset.sample import is_consistent
 from winset.teacher import query
 
-from oracles import dfa_accepts_brute, make_sample, random_sample_parts
+from oracles import dfa_accepts_brute, infinitely_branching_game, make_sample, random_sample_parts
 
 AB = Alphabet(("a", "b"))
 SEL = Alphabet(("s", "e", "l"))
@@ -59,20 +52,6 @@ def test_prefix_tree_accepts_exactly_its_words():
         for probe in {tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))
                       for _ in range(30)} | words:
             assert pta_accepts(pta, probe) == (probe in words)
-
-
-def test_choose_positive_closure():
-    a, b, aa = AB.word("a"), AB.word("b"), AB.word("a a")
-    closure = choose_positive_closure(make_sample(AB, [a], [], [], [(a, [b])]))
-    assert set(closure) >= {a, b}
-    closure = choose_positive_closure(make_sample(AB, [a], [b], [(a, [b, aa])], []))
-    assert closure == (a, aa)            # the only model of the constraints
-    assert choose_positive_closure(make_sample(AB, [], [], [], [])) == ()
-    with pytest.raises(ContradictionError):
-        choose_positive_closure(make_sample(AB, [a], [a], [], []))
-    a_star = Nfa(AB, 1, 0, frozenset({(0, 0, 0)}), frozenset({0}))
-    with pytest.raises(InfiniteConsequentError):
-        choose_positive_closure(Sample(AB, (a,), (), (), ((a, a_star),)))
 
 
 def live_states(d):
@@ -196,28 +175,13 @@ def test_learn_rpni_on_halfline():
 
 
 def test_learn_rpni_rejects_infinite_branching():
-    # one Player-0 vertex whose successor set is the infinite language e l*
-    t = Transducer(
-        SEL, 2, 0,
-        frozenset({(0, SEL.index("s"), SEL.index("e"), 1), (1, None, SEL.index("l"), 1)}),
-        frozenset({1}),
-    )
-    s_only = Nfa(SEL, 2, 0, frozenset({(0, SEL.index("s"), 1)}), frozenset({1}))
-    e_tail = Nfa(SEL, 2, 0, frozenset({(0, SEL.index("e"), 1), (1, SEL.index("l"), 1)}),
-                 frozenset({1}))
-    g = validate_game(RationalSafetyGame(
-        SEL, v0=s_only, v1=e_tail, edges=t,
-        safe=Nfa(SEL, 2, 0, frozenset({(0, SEL.index("s"), 1), (0, SEL.index("e"), 1),
-                                       (1, SEL.index("l"), 1)}), frozenset({1})),
-        initial=s_only,
-    ))
     with pytest.raises(InfiniteBranchingError) as err:
-        learn_rpni(g)
+        learn_rpni(infinitely_branching_game())
     assert "s" in str(err.value)
 
 
 def test_a_wrong_unsat_in_the_closure_is_not_a_contradiction():
-    # the contradiction check's call answers truly, the closure's call lies
+    # iteration 1's chi call answers truly; iteration 2's, its only one, lies
     calls = []
 
     def second_call_lies(cnf, deadline=None):
@@ -227,6 +191,18 @@ def test_a_wrong_unsat_in_the_closure_is_not_a_contradiction():
     with pytest.raises(ExternalSolverError):
         learn_rpni(halfline_game(2), LearnOptions(solver=second_call_lies))
     assert len(calls) == 2
+
+
+def test_learn_rpni_solves_chi_once_per_iteration():
+    calls = []
+
+    def counting(cnf, deadline=None):
+        calls.append(cnf)
+        return solve_internal(cnf, deadline)
+
+    res = learn_rpni(halfline_game(2), LearnOptions(solver=counting))
+    assert res.outcome == "solved"
+    assert len(calls) == res.iterations
 
 
 def test_learn_rpni_timeout_is_an_outcome():

@@ -3,9 +3,20 @@ a brute-force re-check, and the contradiction test."""
 
 import random
 
+import pytest
+
 from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, minimize, union
+from winset.errors import ContradictionError
 from winset.prop import solve_internal
-from winset.sample import add, check_contradiction, chi, dump_sample, empty_sample, is_consistent
+from winset.sample import (
+    Sample,
+    add,
+    check_contradiction,
+    chi,
+    dump_sample,
+    empty_sample,
+    is_consistent,
+)
 from winset.teacher import Existential, Negative, Positive, normalize_consequent
 
 from oracles import exists_consistent_dfa, make_sample, random_sample_parts, sample_holds_brute
@@ -80,20 +91,42 @@ def test_is_consistent_matches_brute_force():
             assert got == sample_holds_brute(delta, acc, pos, neg, ex, uni)
 
 
+def contradictory(s):
+    """Whether chi is UNSAT; for samples whose consequents are all finite."""
+    try:
+        closure = check_contradiction(s)
+    except ContradictionError:
+        return True
+    assert closure is not None
+    return False
+
+
 def test_check_contradiction_examples():
     a, b = AB.word("a"), AB.word("b")
-    assert check_contradiction(make_sample(AB, [a], [a], [], [])) == "contradictory"
-    assert check_contradiction(
-        make_sample(AB, [a], [b], [], [(a, [b])])
-    ) == "contradictory"
-    assert check_contradiction(example_trace_sample()) == "consistent"
-    assert check_contradiction(empty_sample(AB)) == "consistent"
+    with pytest.raises(ContradictionError):
+        check_contradiction(make_sample(AB, [a], [a], [], []))
+    with pytest.raises(ContradictionError):
+        check_contradiction(make_sample(AB, [a], [b], [], [(a, [b])]))
+    assert check_contradiction(example_trace_sample()) >= {W("s l l")}
+    assert check_contradiction(empty_sample(AB)) == frozenset()
+
+
+def test_check_contradiction_returns_the_closure():
+    a, b, aa = AB.word("a"), AB.word("b"), AB.word("a a")
+    assert check_contradiction(make_sample(AB, [a], [], [], [(a, [b])])) >= {a, b}
+    closure = check_contradiction(make_sample(AB, [a], [b], [(a, [b, aa])], []))
+    assert closure == {a, aa}            # the only model of the constraints
+    assert check_contradiction(make_sample(AB, [], [], [], [])) == frozenset()
+    with pytest.raises(ContradictionError):
+        check_contradiction(make_sample(AB, [a], [a], [], []))
+    a_star = Nfa(AB, 1, 0, frozenset({(0, 0, 0)}), frozenset({0}))
+    assert check_contradiction(Sample(AB, (a,), (), (), ((a, a_star),))) is None
 
 
 def test_infinite_consequent_is_unknown():
     loop = Nfa(SEL, 2, 0, frozenset({(0, 0, 1), (1, 2, 1)}), frozenset({1}))  # s l*
     s = add(empty_sample(SEL), Existential(W("s"), loop))
-    assert check_contradiction(s) == "unknown"
+    assert check_contradiction(s) is None
 
 
 def test_contradictory_really_means_no_small_dfa():
@@ -105,7 +138,7 @@ def test_contradictory_really_means_no_small_dfa():
     ]
     for pos, neg, ex, uni in cases:
         s = make_sample(AB, pos, neg, ex, uni)
-        if check_contradiction(s) != "contradictory":
+        if not contradictory(s):
             continue
         for n in (1, 2, 3):
             assert not exists_consistent_dfa(2, n, pos, neg, ex, uni)
@@ -118,9 +151,7 @@ def test_contradiction_brute_agreement_small():
     for _ in range(60):
         pos, neg, ex, uni = random_sample_parts(rng, max_len=2, max_consequent=2)
         s = make_sample(AB, pos, neg, ex, uni)
-        verdict = check_contradiction(s)
-        assert verdict in ("consistent", "contradictory")
-        if verdict == "contradictory":
+        if contradictory(s):
             seen_contradictory += 1
             assert not exists_consistent_dfa(2, 2, pos, neg, ex, uni)
     assert seen_contradictory >= 1

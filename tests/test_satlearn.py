@@ -16,6 +16,7 @@ from winset import prop
 from winset.automata import Alphabet, from_words
 from winset.benchmarks import halfline_game
 from winset.errors import CapExceededError, InternalConsistencyError
+from winset.learning import LearnOptions
 from winset.prop import CnfInstance, solve_internal
 from winset.rpni import learn_rpni
 from winset.sample import Sample, add, chi, empty_sample, is_consistent
@@ -362,10 +363,22 @@ def test_learn_end_to_end():
 
 
 def test_unwinnable_demo_ends_in_contradiction():
-    """The contradiction outcome survives its internal re-check, with both
-    learners on the demo's game that player 0 cannot win."""
+    """The contradiction outcome, with both learners on the demo's game that
+    player 0 cannot win; a plugged-in solver's UNSAT survives its internal
+    re-check."""
     demo = Path(__file__).resolve().parent.parent / "demos" / "unwinnable.py"
     with contextlib.redirect_stdout(io.StringIO()) as out:
         game = runpy.run_path(str(demo))["game"]
     assert "contradiction" in out.getvalue()
     assert learn_rpni(game).outcome == "contradiction"
+    plugged = LearnOptions(solver=lambda cnf, deadline=None: solve_internal(cnf, deadline))
+    assert learn_rpni(game, plugged).outcome == "contradiction"
+
+
+def test_boundary_game_demo_runs():
+    """The worked-example demo still runs against the public names it uses."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "boundary_game.py"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runpy.run_path(str(demo))
+    assert "outcome=solved" in out.getvalue()
+    assert "Teacher's verdict on the result: None" in out.getvalue()
