@@ -442,41 +442,6 @@ def enumerate_finite(a):
     return sorted(memo[a.initial], key=shortlex_key)
 
 
-def enumerate_upto(a, max_len):
-    """All accepted words of length <= max_len, shortlex-sorted."""
-    d = a if isinstance(a, Dfa) else determinize(a)
-    nsym = len(d.alphabet)
-    # minimal distance from each state to an accepting state (None = never)
-    dist = {q: 0 for q in d.accepting}
-    frontier = set(d.accepting)
-    steps = 0
-    pre = {}
-    for p in range(d.state_count):
-        for sym in range(nsym):
-            pre.setdefault(d.delta[p][sym], []).append(p)
-    while frontier and steps < d.state_count:
-        steps += 1
-        nxt = set()
-        for q in frontier:
-            for p in pre.get(q, ()):
-                if p not in dist:
-                    dist[p] = steps
-                    nxt.add(p)
-        frontier = nxt
-    out = []
-    stack = [(0, ())]
-    while stack:
-        state, w = stack.pop()
-        if state in d.accepting:
-            out.append(w)
-        if len(w) < max_len:
-            for sym in range(nsym):
-                q = d.delta[state][sym]
-                if q in dist and dist[q] <= max_len - len(w) - 1:
-                    stack.append((q, w + (sym,)))
-    return sorted(out, key=shortlex_key)
-
-
 def minimize(d):
     """Minimum-state total DFA, states renumbered by BFS so output is canonical."""
     d = _reach_trim_dfa(d)
@@ -540,10 +505,6 @@ def from_words(alphabet, words):
                 trans.add((index[prefix], w[i], index[nxt]))
         accepting.add(index[w])
     return Nfa(alphabet, len(index), 0, frozenset(trans), frozenset(accepting))
-
-
-def is_empty(a):
-    return shortest_word(a) is None
 
 
 def to_dot(a, name="automaton"):

@@ -7,20 +7,11 @@ Boundary behavior: moves that would leave the domain are simply absent.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .automata import Alphabet, Nfa, word_automaton
 from .game import RationalSafetyGame, validate_game
 from .relations import Transducer
-
-FAMILIES = (
-    "diagonal",
-    "box",
-    "solitary-box",
-    "evasion",
-    "follow",
-    "program-repair",
-    "interval",
-)
 
 ALPH3 = Alphabet(("s", "e", "l"))
 ALPH4 = Alphabet(("s", "e", "l", "."))
@@ -32,7 +23,7 @@ class BenchmarkSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name != "halfline" and self.name not in FAMILIES:
+        if self.name not in FAMILIES:
             raise ValueError(f"unknown benchmark family {self.name!r}")
         for k, v in self.params.items():
             if not isinstance(v, int):
@@ -132,18 +123,20 @@ def _pm_branch(b, tag_in, tag_out):
 
 def halfline_game(k):
     """Half-line robot game: F = both players at positions >= k, I = Player 0 there."""
+    return generate_benchmark(BenchmarkSpec("halfline", {"k": k}))
+
+
+def _halfline(k):
     if k < 1:
         raise ValueError("halfline needs k >= 1")
     alphabet = ALPH3
-    return validate_game(
-        RationalSafetyGame(
-            alphabet,
-            v0=_tag_star(alphabet, "s"),
-            v1=_tag_star(alphabet, "e"),
-            edges=_halfline_edges(alphabet),
-            safe=_tag_counter(alphabet, "se", k),
-            initial=_tag_counter(alphabet, "s", k),
-        )
+    return RationalSafetyGame(
+        alphabet,
+        v0=_tag_star(alphabet, "s"),
+        v1=_tag_star(alphabet, "e"),
+        edges=_halfline_edges(alphabet),
+        safe=_tag_counter(alphabet, "se", k),
+        initial=_tag_counter(alphabet, "s", k),
     )
 
 
@@ -244,17 +237,17 @@ def _two_counter_sum(alphabet, lo, hi):
     return Nfa(alphabet, 3 + 2 * top, 0, frozenset(trans), accepting)
 
 
-def _evasion(start_dist):
+def _evasion(start):
     """Evasion game on displacement magnitudes (a, b): keep the evader away
     from the pursuer, i.e. a+b >= 1; each move shifts one magnitude by one."""
-    if start_dist < 1:
+    if start < 1:
         raise ValueError("evasion needs start >= 1")
     alphabet = ALPH4
     b = _Builder(alphabet)
     for (tin, tout) in (("s", "e"), ("e", "s")):
         _pm_first_counter(b, tin, tout)
         _pm_second_counter(b, tin, tout)
-    word = alphabet.word("s" + " l" * start_dist + " .")
+    word = alphabet.word("s" + " l" * start + " .")
     return RationalSafetyGame(
         alphabet,
         v0=_tag_star(alphabet, "s", seps=1),
@@ -357,46 +350,27 @@ def _program_repair():
     )
 
 
-_DEFAULTS = {
-    "diagonal": {"width": 2},
-    "box": {"height": 2},
-    "solitary-box": {"height": 2},
-    "evasion": {"start": 2},
-    "follow": {"bound": 2},
-    "program-repair": {},
-    "interval": {},  # k, kprime are mandatory
-    "halfline": {"k": 2},
+# family name -> (builder, {parameter: default}); a None default is required
+FAMILIES = {
+    "diagonal": (_diagonal, {"width": 2}),
+    "box": (partial(_box, solitary=False), {"height": 2}),
+    "solitary-box": (partial(_box, solitary=True), {"height": 2}),
+    "evasion": (_evasion, {"start": 2}),
+    "follow": (_follow, {"bound": 2}),
+    "program-repair": (_program_repair, {}),
+    "interval": (_interval, {"k": None, "kprime": None}),
+    "halfline": (_halfline, {"k": 2}),
 }
 
 
 def generate_benchmark(spec):
     """Build and validate the named benchmark game."""
-    if spec.name not in _DEFAULTS:
-        raise ValueError(f"unknown benchmark family {spec.name!r}")
-    params = dict(_DEFAULTS[spec.name])
-    for key, value in spec.params.items():
-        if spec.name == "interval" and key in ("k", "kprime"):
-            params[key] = value
-        elif key in params:
-            params[key] = value
-        else:
+    builder, defaults = FAMILIES[spec.name]
+    for key in spec.params:
+        if key not in defaults:
             raise ValueError(f"{spec.name} does not take parameter {key!r}")
-    if spec.name == "interval":
-        if "k" not in params or "kprime" not in params:
-            raise ValueError("interval needs both k and kprime")
-        g = _interval(params["k"], params["kprime"])
-    elif spec.name == "halfline":
-        return halfline_game(params["k"])
-    elif spec.name == "diagonal":
-        g = _diagonal(params["width"])
-    elif spec.name == "box":
-        g = _box(params["height"], solitary=False)
-    elif spec.name == "solitary-box":
-        g = _box(params["height"], solitary=True)
-    elif spec.name == "evasion":
-        g = _evasion(params["start"])
-    elif spec.name == "follow":
-        g = _follow(params["bound"])
-    else:
-        g = _program_repair()
-    return validate_game(g)
+    params = {**defaults, **spec.params}
+    missing = [key for key, value in params.items() if value is None]
+    if missing:
+        raise ValueError(f"{spec.name} needs {' and '.join(missing)}")
+    return validate_game(builder(**params))

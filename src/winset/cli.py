@@ -1,12 +1,14 @@
 """Command-line interface: solve, verify, gen, bench.
 
 Exit codes: 0 solved/ok, 1 timeout or state-cap exhausted, 2 contradiction
-(no winning set covers I), 3 input error, 4 internal error.
+(no winning set covers I), 3 input or usage error (an unwritable output
+path included), 4 internal error.
 """
 
 import argparse
 import csv
 import io
+import math
 import sys
 
 from .automata import to_dot
@@ -54,8 +56,15 @@ def _read(path):
         raise GameFormatError(f"cannot read {path}: {e}") from None
 
 
+def _open_out(path, mode):
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as e:
+        raise GameFormatError(f"cannot write {path}: {e}") from None
+
+
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path, "w") as fh:
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
@@ -86,7 +95,7 @@ def _append_csv(path, rows):
     if header and header != ",".join(STATS_COLUMNS):
         # rows under another header would land in the wrong columns
         raise GameFormatError(f"{path} has other columns than --stats writes: {header}")
-    with open(path, "a", encoding="utf-8", newline="") as fh:
+    with _open_out(path, "a") as fh:
         writer = csv.DictWriter(fh, fieldnames=STATS_COLUMNS)
         if not header:
             writer.writeheader()
@@ -129,6 +138,11 @@ def cmd_solve(args):
 def cmd_verify(args):
     g = parse_game(_read(args.game))
     d = parse_dfa(_read(args.dfa))
+    if d.alphabet != g.alphabet:
+        raise GameFormatError(
+            f"the DFA's alphabet ({' '.join(d.alphabet.symbols)}) is not the game's "
+            f"({' '.join(g.alphabet.symbols)})"
+        )
     cex = query(g, d)
     if cex is None:
         print("ok: the DFA accepts a winning set")
@@ -145,9 +159,14 @@ def cmd_verify(args):
     return 1
 
 
+def _gen_parameters():
+    """Every family parameter, each once, in table order."""
+    return list(dict.fromkeys(key for _build, defaults in FAMILIES.values() for key in defaults))
+
+
 def cmd_gen(args):
     params = {}
-    for key in ("k", "kprime", "width", "height", "start", "bound"):
+    for key in _gen_parameters():
         value = getattr(args, key)
         if value is not None:
             params[key] = value
@@ -198,8 +217,36 @@ def cmd_bench(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the input-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _timeout(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _state_cap(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="winset",
         description="Learn regular winning sets for safety games on "
         "automaton-represented infinite graphs.",
@@ -209,8 +256,8 @@ def build_parser():
     p = sub.add_parser("solve", help="learn a winning set for a game file")
     p.add_argument("game")
     p.add_argument("--learner", choices=("sat", "rpni"), default="sat")
-    p.add_argument("--timeout", type=float, default=300.0)
-    p.add_argument("--max-states", type=int, default=32, help="SAT learner size cap")
+    p.add_argument("--timeout", type=_timeout, default=300.0)
+    p.add_argument("--max-states", type=_state_cap, default=32, help="SAT learner size cap")
     p.add_argument("--solver", default="internal", help="internal or exec:<path>")
     p.add_argument("--out", help="write the learned DFA here")
     p.add_argument("--stats", help="append one CSV row here")
@@ -223,20 +270,16 @@ def build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a benchmark game file")
-    p.add_argument("family", choices=FAMILIES + ("halfline",))
-    p.add_argument("--k", type=int)
-    p.add_argument("--kprime", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--start", type=int)
-    p.add_argument("--bound", type=int)
+    p.add_argument("family", choices=tuple(FAMILIES))
+    for key in _gen_parameters():
+        p.add_argument(f"--{key}", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("bench", help="run a learner comparison suite, emit CSV")
     p.add_argument("--suite", choices=("paper", "scalability"), default="paper")
     p.add_argument("--kprime-list", default="10,50,100")
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=_timeout, default=300.0)
     p.add_argument("--solver", default="internal")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(fn=cmd_bench)

@@ -1,4 +1,4 @@
-"""Safety games on automaton-represented graphs: model, file format, finite cuts.
+"""Safety games on automaton-represented graphs: model and file format.
 
 File format (UTF-8, `#` starts a comment):
 
@@ -23,19 +23,9 @@ File format (UTF-8, `#` starts a comment):
 
 from dataclasses import dataclass
 
-from .automata import (
-    Alphabet,
-    EPSILON_MARK,
-    Nfa,
-    accepts,
-    difference,
-    enumerate_upto,
-    intersect,
-    shortest_word,
-    shortlex_key,
-)
+from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, difference, intersect, shortest_word
 from .errors import GameFormatError, InvalidWordError, InvariantViolation
-from .relations import Transducer, successors
+from .relations import Transducer
 
 SECTIONS = ("alphabet", "v0", "v1", "edges", "safe", "initial")
 DFA_SECTIONS = ("alphabet", "dfa")
@@ -251,8 +241,6 @@ def serialize_dfa(d):
 
 def parse_dfa(text):
     """Read a [dfa] file back; the automaton must be deterministic and total."""
-    from .automata import Dfa
-
     sections = _split_sections(text, DFA_SECTIONS)
     alphabet = _parse_alphabet_section(sections)
     nfa = _parse_nfa(sections["dfa"], alphabet)
@@ -273,57 +261,3 @@ def parse_dfa(text):
                     f"{alphabet.symbols[sym]!r}"
                 )
     return Dfa(alphabet, nfa.state_count, tuple(tuple(r) for r in rows), nfa.accepting)
-
-
-# ------------------------------------------------------ finite restriction
-
-@dataclass(frozen=True)
-class FiniteGame:
-    """Explicit cut of a game: all vertex words of bounded length."""
-
-    alphabet: Alphabet
-    vertices: tuple  # shortlex-sorted words
-    v0: frozenset
-    edges: tuple  # sorted (u, v) pairs
-    safe: frozenset
-    initial: frozenset
-
-    @property
-    def v1(self):
-        return frozenset(self.vertices) - self.v0
-
-
-def finite_restriction(g, max_len):
-    """Explicit game on the words of length <= max_len in L(v0) ∪ L(v1)."""
-    words0 = enumerate_upto(g.v0, max_len)
-    words1 = enumerate_upto(g.v1, max_len)
-    vertices = sorted(set(words0) | set(words1), key=shortlex_key)
-    vset = set(vertices)
-    edge_list = []
-    for u in vertices:
-        for v in enumerate_upto(successors(g.edges, u), max_len):
-            if v in vset:
-                edge_list.append((u, v))
-    safe = frozenset(u for u in vertices if accepts(g.safe, u))
-    initial = frozenset(u for u in vertices if accepts(g.initial, u))
-    return FiniteGame(
-        g.alphabet, tuple(vertices), frozenset(words0), tuple(sorted(edge_list)), safe, initial
-    )
-
-
-def finite_game_dot(fg, name="game"):
-    """DOT rendering: circles = Player 0, boxes = Player 1, shading = unsafe."""
-    def node_id(u):
-        return "v_" + "_".join(str(i) for i in u) if u else "v_eps"
-
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for u in fg.vertices:
-        shape = "circle" if u in fg.v0 else "box"
-        style = ', style=filled, fillcolor="gray80"' if u not in fg.safe else ""
-        peri = ", peripheries=2" if u in fg.initial else ""
-        label = fg.alphabet.text(u)
-        lines.append(f'  {node_id(u)} [shape={shape}, label="{label}"{peri}{style}];')
-    for (u, v) in fg.edges:
-        lines.append(f"  {node_id(u)} -> {node_id(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -240,10 +240,7 @@ class _Cdcl:
             _act, v = heapq.heappop(self.heap)
             if self.assign[v] is None:
                 return v
-        for v in range(1, self.nv + 1):
-            if self.assign[v] is None:
-                return v
-        return None
+        return None  # every unassigned variable has a heap entry
 
     def search(self):
         """The CDCL loop as a generator: it yields after each Luby restart and
@@ -335,34 +332,6 @@ def to_dimacs(cnf):
     for cl in cnf.clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def parse_dimacs(text):
-    var_count = None
-    clauses = []
-    current = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header {line!r}")
-            var_count = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(current)
-    if var_count is None:
-        var_count = max((abs(l) for cl in clauses for l in cl), default=0)
-    return CnfInstance(var_count, clauses)
 
 
 def _parse_solver_output(text, var_count):

@@ -13,10 +13,8 @@ from winset.automata import (
     determinize,
     difference,
     enumerate_finite,
-    enumerate_upto,
     from_words,
     intersect,
-    is_empty,
     is_finite,
     minimize,
     shortest_word,
@@ -130,7 +128,7 @@ def test_intersect_with_own_complement_is_empty():
     rng = random.Random(11)
     for _ in range(20):
         a = random_nfa(rng, AB)
-        assert is_empty(intersect(a, complement(determinize(a)).to_nfa()))
+        assert shortest_word(intersect(a, complement(determinize(a)).to_nfa())) is None
 
 
 def test_boolean_ops_match_set_algebra():
@@ -221,16 +219,6 @@ def test_enumerate_finite_is_shortlex_sorted_and_complete():
             longest = len(words[-1])
             assert set(words) == {w for w in all_words(2, longest)
                                   if nfa_accepts_brute(a, w)}
-
-
-def test_enumerate_upto_matches_brute():
-    rng = random.Random(29)
-    for _ in range(25):
-        a = random_nfa(rng, AB)
-        got = enumerate_upto(a, 4)
-        want = sorted((w for w in all_words(2, 4) if nfa_accepts_brute(a, w)),
-                      key=lambda w: (len(w), w))
-        assert got == want
 
 
 # --------------------------------------------------------------- minimize

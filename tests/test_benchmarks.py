@@ -6,9 +6,8 @@ import pytest
 
 from winset.benchmarks import BenchmarkSpec, FAMILIES, game_size, generate_benchmark
 from winset.automata import accepts
-from winset.game import finite_restriction
 
-from oracles import safety_region
+from oracles import language_upto, pair_accepted_brute, safety_region
 
 
 def make(name, **params):
@@ -59,10 +58,13 @@ def test_bad_parameters_rejected():
 
 def test_diagonal_truncation_winning_region():
     g = make("diagonal")
-    fg = finite_restriction(g, 7)
-    v0 = frozenset(w for w in fg.vertices if accepts(g.v0, w))
-    safe = frozenset(w for w in fg.vertices if accepts(g.safe, w))
-    region = safety_region(fg.vertices, v0, set(fg.edges), safe)
+    # the cut: vertex words of length <= 7 and the moves between them
+    v0 = language_upto(g.v0, 7)
+    vertices = v0 | language_upto(g.v1, 7)
+    edges = {(u, v) for u in vertices for v in vertices if pair_accepted_brute(g.edges, u, v)}
+    assert (len(vertices), len(edges)) == (14, 24)
+    safe = {w for w in vertices if accepts(g.safe, w)}
+    region = safety_region(vertices, v0, edges, safe)
     A = g.alphabet
     # every on-diagonal cell (distance counter 0) is winning ...
     assert {A.word("s"), A.word("e")} <= region

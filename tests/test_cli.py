@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from winset.automata import Nfa, determinize, from_words, minimize
+from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, minimize
 from winset.benchmarks import halfline_game
 from winset.cli import CSV_COLUMNS, STATS_COLUMNS, main
 from winset.game import RationalSafetyGame, parse_game, serialize_dfa, serialize_game
@@ -134,7 +134,25 @@ def test_solve_infinite_branching_is_an_input_error_for_rpni_only(tmp_path, caps
 def test_solve_has_no_seed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "x.game", "--seed", "1"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "GAME", "--timeout", "nan"],
+    ["solve", "GAME", "--timeout", "inf"],
+    ["solve", "GAME", "--timeout", "-1"],
+    ["solve", "GAME", "--timeout", "soon"],
+    ["solve", "GAME", "--max-states", "0"],
+    ["bench", "--suite", "scalability", "--kprime-list", "3", "--timeout", "nan"],
+], ids=" ".join)
+def test_bad_timeout_or_state_cap_is_a_usage_error(tmp_path, capsys, argv):
+    game = write_halfline(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([game if a == "GAME" else a for a in argv])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was solved
+    assert f"argument {argv[-2]}" in captured.err
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
@@ -207,6 +225,34 @@ def test_verify_rejects_partial_dfa(tmp_path, capsys):
     assert "missing the transition" in capsys.readouterr().err
 
 
+def test_verify_dfa_over_another_alphabet_is_an_input_error(tmp_path, capsys):
+    game = write_halfline(tmp_path)
+    p = tmp_path / "ab.dfa"
+    p.write_text(serialize_dfa(Dfa(Alphabet(("a", "b")), 1, ((0, 0),), frozenset({0}))),
+                 encoding="utf-8")
+    rc = main(["verify", game, str(p)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "(a b)" in err and "(s e l)" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "halfline", "--out"],
+    ["solve", "GAME", "--learner", "rpni", "--out"],
+    ["solve", "GAME", "--learner", "rpni", "--stats"],
+    ["bench", "--suite", "scalability", "--kprime-list", "", "--out"],
+])
+@pytest.mark.parametrize("where", ["a directory", "under a missing directory"])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command, where):
+    game = write_halfline(tmp_path)
+    target = tmp_path if where == "a directory" else tmp_path / "missing" / "out.txt"
+    argv = [game if a == "GAME" else a for a in command] + [str(target)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_gen_prints_parseable_games(capsys):
     for argv in (["gen", "interval", "--k", "1", "--kprime", "10"],
                  ["gen", "diagonal"],
@@ -234,7 +280,7 @@ def test_gen_unknown_family_is_a_usage_error():
     # argparse rejects names outside its choices list before dispatch
     with pytest.raises(SystemExit) as exc:
         main(["gen", "nonsense"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
 
 
 def test_bench_empty_suite_header_only(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Game file format, validation, finite restrictions, DFA files."""
+"""Game file format, validation, DFA files."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from winset.benchmarks import BenchmarkSpec, generate_benchmark
 from winset.errors import GameFormatError, InvariantViolation
 from winset.game import (
     RationalSafetyGame,
-    finite_game_dot,
-    finite_restriction,
     parse_dfa,
     parse_game,
     serialize_dfa,
@@ -101,42 +99,6 @@ def test_syntax_errors_carry_line_numbers():
     duplicated = text + "\n[safe]\nstates: 1\ninitial: 0\naccepting:\n"
     with pytest.raises(GameFormatError):
         parse_game(duplicated)
-
-
-def test_finite_restriction_vertices_and_edges():
-    g = halfline(2)
-    fg = finite_restriction(g, 4)
-    A = g.alphabet
-    assert set(fg.vertices) == {
-        A.word(t) for t in
-        ("s", "e", "s l", "e l", "s l l", "e l l", "s l l l", "e l l l")
-    }
-    assert (A.word("s l l"), A.word("e l l l")) in set(fg.edges)
-    assert len(fg.edges) == 14
-    brute = {(u, v) for u in fg.vertices for v in fg.vertices
-             if pair_accepted_brute(g.edges, u, v)}
-    assert set(fg.edges) == brute
-
-
-def test_finite_restriction_empty_at_len_zero():
-    fg = finite_restriction(halfline(2), 0)
-    assert fg.vertices == ()
-    assert fg.edges == ()
-
-
-def test_finite_restriction_is_monotone():
-    g = halfline(2)
-    previous = set()
-    for n in range(5):
-        vs = set(finite_restriction(g, n).vertices)
-        assert previous <= vs
-        previous = vs
-
-
-def test_finite_game_dot_smoke():
-    fg = finite_restriction(halfline(1), 2)
-    text = finite_game_dot(fg)
-    assert "digraph" in text and "box" in text and "circle" in text
 
 
 def test_dfa_file_roundtrip():

@@ -1,6 +1,7 @@
 """CNF backends: the internal solver and external ones, checked against
 brute-force model enumeration."""
 
+import copy
 import os
 import random
 import tempfile
@@ -16,7 +17,6 @@ from winset.prop import (
     external_solver,
     falsified_clause,
     make_solver,
-    parse_dimacs,
     solve_internal,
     to_dimacs,
 )
@@ -97,20 +97,15 @@ def test_solver_takes_raw_clauses_as_they_come():
 
 def test_dimacs_round_trip():
     cnf = CnfInstance(3, [[1, -2], [2, 3], [-1]])
-    back = parse_dimacs(to_dimacs(cnf))
-    assert back.var_count == 3
-    assert [list(c) for c in back.clauses] == [[1, -2], [2, 3], [-1]]
-    assert solve_internal(parse_dimacs("p cnf 1 1\n1 0\n")) == {1: True}
-    assert solve_internal(parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")) is None
-    with pytest.raises(ValueError):
-        parse_dimacs("p cnf x\n")
+    assert to_dimacs(cnf) == "p cnf 3 3\n1 -2 0\n2 3 0\n-1 0\n"
+    assert to_dimacs(CnfInstance(2, [])) == "p cnf 2 0\n"
 
 
 def test_solver_is_deterministic():
     rng = random.Random(11)
     cnf = random_3cnf(rng, 12, 40)
     a = solve_internal(cnf)
-    b = solve_internal(parse_dimacs(to_dimacs(cnf)))
+    b = solve_internal(copy.deepcopy(cnf))
     assert a == b
 
 
