@@ -8,7 +8,7 @@ forever.  The script interrogates the teacher by hand, then lets the SAT
 learner find the winning set on its own.
 """
 
-from winset.automata import determinize, from_words, minimize, union, Nfa
+from winset.automata import determinize, finite_words, from_words, minimize, union, Nfa
 from winset.benchmarks import halfline_game
 from winset.learning import LearnOptions
 from winset.satlearn import learn
@@ -38,9 +38,7 @@ def ask(label, conjecture):
         kind = type(cex).__name__
         extra = ""
         if hasattr(cex, "consequent"):
-            from winset.automata import enumerate_finite
-            succ = ", ".join(A.text(w) for w in sorted(enumerate_finite(cex.consequent),
-                                                       key=lambda w: (len(w), w)))
+            succ = ", ".join(A.text(w) for w in finite_words(cex.consequent))
             extra = f" with successors {{{succ}}}"
         print(f"  {label:<28} -> {kind} counterexample '{A.text(cex.word)}'{extra}")
     return cex

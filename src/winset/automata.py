@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatchError, InfiniteLanguageError, InvalidWordError
+from .errors import AlphabetMismatchError, InvalidWordError
 
 Word = tuple
 
@@ -350,21 +350,10 @@ def shortest_word(a):
     return tuple(word)
 
 
-def _useful_states(a):
-    """States both reachable from initial and co-reachable to accepting."""
-    moves = _moves(a)
-    nsym = len(a.alphabet)
-    reach = {a.initial}
-    stack = [a.initial]
-    while stack:
-        p = stack.pop()
-        for sym in range(nsym):
-            for q in moves.get((p, sym), ()):
-                if q not in reach:
-                    reach.add(q)
-                    stack.append(q)
+def _coreachable(a):
+    """States with a path to an accepting state."""
     pre = {}
-    for (p, sym, q) in a.transitions:
+    for (p, _sym, q) in a.transitions:
         pre.setdefault(q, []).append(p)
     coreach = set(a.accepting)
     stack = list(a.accepting)
@@ -374,72 +363,47 @@ def _useful_states(a):
             if p not in coreach:
                 coreach.add(p)
                 stack.append(p)
-    return reach & coreach
+    return coreach
 
 
-def is_finite(a):
-    """True iff no cycle lies on an initial-to-accepting path."""
+def finite_words(a):
+    """All accepted words, shortlex-sorted, or None for an infinite language.
+
+    One depth-first pass from the initial state over the co-reachable
+    states, which visits exactly the useful ones: reaching a state that is
+    still on the stack closes a cycle on an initial-to-accepting path;
+    otherwise each state's suffix set is built once its successors' are.
+    The stack is explicit, since one word's automaton is as deep as the
+    word is long.
+    """
     a = as_nfa(a)
-    useful = _useful_states(a)
-    adj = {}
-    for (p, _sym, q) in a.transitions:
-        if p in useful and q in useful:
-            adj.setdefault(p, set()).add(q)
-    color = {}  # 1 = on stack, 2 = done
-
-    for root in useful:
-        if color.get(root):
-            continue
-        stack = [(root, iter(sorted(adj.get(root, ()))))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for q in it:
-                if color.get(q) == 1:
-                    return False
-                if q not in color:
-                    color[q] = 1
-                    stack.append((q, iter(sorted(adj.get(q, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
-
-
-def enumerate_finite(a):
-    """All accepted words, shortlex-sorted; errors on infinite languages."""
-    a = as_nfa(a)
-    if not is_finite(a):
-        raise InfiniteLanguageError("language is infinite")
-    useful = _useful_states(a)
-    if a.initial not in useful:
-        return []
+    live = _coreachable(a)
+    if a.initial not in live:
+        return ()
     adj = {}
     for (p, sym, q) in a.transitions:
-        if p in useful and q in useful:
+        if p in live and q in live:
             adj.setdefault(p, []).append((sym, q))
-    # suffix sets in post-order over the acyclic useful graph, on an
-    # explicit stack: one word's automaton is as deep as the word is long
-    memo = {}
-    stack = [a.initial]
+    suffixes = {}
+    on_stack = {a.initial}
+    stack = [(a.initial, iter(adj.get(a.initial, ())))]
     while stack:
-        q = stack[-1]
-        if q in memo:
+        p, succ = stack[-1]
+        for (_sym, q) in succ:
+            if q in on_stack:
+                return None
+            if q not in suffixes:
+                on_stack.add(q)
+                stack.append((q, iter(adj.get(q, ()))))
+                break
+        else:
             stack.pop()
-            continue
-        todo = [q2 for (_sym, q2) in adj.get(q, ()) if q2 not in memo]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        out = {()} if q in a.accepting else set()
-        for (sym, q2) in adj.get(q, ()):
-            out.update((sym,) + w for w in memo[q2])
-        memo[q] = out
-    return sorted(memo[a.initial], key=shortlex_key)
+            on_stack.discard(p)
+            out = {()} if p in a.accepting else set()
+            for (sym, q) in adj.get(p, ()):
+                out.update((sym,) + w for w in suffixes[q])
+            suffixes[p] = out
+    return tuple(sorted(suffixes[a.initial], key=shortlex_key))
 
 
 def minimize(d):
@@ -472,39 +436,45 @@ def minimize(d):
 def trim(a):
     """Drop states not on an accepting path; the initial state is always kept."""
     a = as_nfa(a)
-    useful = _useful_states(a) | {a.initial}
+    live = _coreachable(a) | {a.initial}  # _trim_reachable drops the rest
     kept = Nfa(
         a.alphabet,
         a.state_count,
         a.initial,
-        frozenset((p, s, q) for (p, s, q) in a.transitions if p in useful and q in useful),
-        frozenset(q for q in a.accepting if q in useful),
+        frozenset((p, s, q) for (p, s, q) in a.transitions if p in live and q in live),
+        frozenset(q for q in a.accepting if q in live),
     )
     return _trim_reachable(kept)
 
 
-def word_automaton(alphabet, u):
-    """Line automaton accepting exactly {u}."""
-    check_word(alphabet, u)
-    trans = frozenset((i, sym, i + 1) for i, sym in enumerate(u))
-    return Nfa(alphabet, len(u) + 1, 0, trans, frozenset({len(u)}))
-
-
 def from_words(alphabet, words):
-    """Trie-shaped NFA accepting exactly the given finite set of words."""
-    words = sorted(set(words), key=shortlex_key)
-    index = {(): 0}
-    trans = set()
-    accepting = set()
+    """Trie NFA accepting exactly the given finite set of words.
+
+    States are the words' prefixes, numbered in shortlex order (breadth
+    first, children in symbol order), so the empty prefix is state 0 and
+    one word gives its line automaton.  Time is linear in the total word
+    length.
+    """
+    children = [{}]
+    ends = set()
     for w in words:
         check_word(alphabet, w)
-        for i in range(len(w)):
-            prefix, nxt = w[:i], w[: i + 1]
-            if nxt not in index:
-                index[nxt] = len(index)
-                trans.add((index[prefix], w[i], index[nxt]))
-        accepting.add(index[w])
-    return Nfa(alphabet, len(index), 0, frozenset(trans), frozenset(accepting))
+        node = 0
+        for sym in w:
+            nxt = children[node].get(sym)
+            if nxt is None:
+                nxt = children[node][sym] = len(children)
+                children.append({})
+            node = nxt
+        ends.add(node)
+    order = [0]  # trie nodes, breadth first: position i is state i
+    trans = set()
+    for i, p in enumerate(order):
+        for sym in sorted(children[p]):
+            trans.add((i, sym, len(order)))
+            order.append(children[p][sym])
+    index = {p: i for i, p in enumerate(order)}
+    return Nfa(alphabet, len(order), 0, frozenset(trans), frozenset(index[p] for p in ends))
 
 
 def to_dot(a, name="automaton"):

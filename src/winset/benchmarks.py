@@ -9,7 +9,7 @@ Boundary behavior: moves that would leave the domain are simply absent.
 from dataclasses import dataclass, field
 from functools import partial
 
-from .automata import Alphabet, Nfa, word_automaton
+from .automata import Alphabet, Nfa, from_words
 from .game import RationalSafetyGame, validate_game
 from .relations import Transducer
 
@@ -150,7 +150,7 @@ def _interval(k, kprime):
         v1=_tag_star(alphabet, "e"),
         edges=_halfline_edges(alphabet),
         safe=_tag_counter(alphabet, "se", k, kprime),
-        initial=word_automaton(alphabet, alphabet.word("s" + " l" * k)),
+        initial=from_words(alphabet, [alphabet.word("s" + " l" * k)]),
     )
 
 
@@ -169,7 +169,7 @@ def _diagonal(width):
         v1=_tag_star(alphabet, "e"),
         edges=b.done(),
         safe=_tag_counter(alphabet, "se", 0, width),
-        initial=word_automaton(alphabet, alphabet.word("s")),
+        initial=from_words(alphabet, [alphabet.word("s")]),
     )
 
 
@@ -204,7 +204,7 @@ def _box(height, solitary):
         v1=_tag_star(alphabet, "e", seps=1),
         edges=b.done(),
         safe=_two_counter_safe_y(alphabet, height),
-        initial=word_automaton(alphabet, alphabet.word("s .")),
+        initial=from_words(alphabet, [alphabet.word("s .")]),
     )
 
 
@@ -254,7 +254,7 @@ def _evasion(start):
         v1=_tag_star(alphabet, "e", seps=1),
         edges=b.done(),
         safe=_two_counter_sum(alphabet, 1, None),
-        initial=word_automaton(alphabet, word),
+        initial=from_words(alphabet, [word]),
     )
 
 
@@ -273,7 +273,7 @@ def _follow(bound):
         v1=_tag_star(alphabet, "e", seps=1),
         edges=b.done(),
         safe=_two_counter_sum(alphabet, 0, bound),
-        initial=word_automaton(alphabet, alphabet.word("s .")),
+        initial=from_words(alphabet, [alphabet.word("s .")]),
     )
 
 
@@ -346,7 +346,7 @@ def _program_repair():
         v1=_tag_star(alphabet, "e"),
         edges=b.done(),
         safe=_tag_counter(alphabet, "se", 1),
-        initial=word_automaton(alphabet, alphabet.word("s l")),
+        initial=from_words(alphabet, [alphabet.word("s l")]),
     )
 
 

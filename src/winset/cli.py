@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 
 from .automata import to_dot
@@ -63,6 +64,15 @@ def _open_out(path, mode):
         raise GameFormatError(f"cannot write {path}: {e}") from None
 
 
+def _check_writable(path):
+    """Report an unwritable output path now, not after a long solve; an
+    existing file keeps its contents."""
+    existed = os.path.exists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _write(path, text):
     with _open_out(path, "w") as fh:
         fh.write(text)
@@ -114,6 +124,9 @@ def _run_learner(g, args):
 
 def cmd_solve(args):
     g = parse_game(_read(args.game))
+    for path in (args.out, args.stats):
+        if path:
+            _check_writable(path)
     res = _run_learner(g, args)
     pos, neg, ex, uni = res.sample_sizes
     print(
@@ -185,10 +198,7 @@ def _suite_games(args):
         for name in ("diagonal", "box", "solitary-box", "evasion", "follow", "program-repair"):
             yield name, generate_benchmark(BenchmarkSpec(name, {}))
     else:
-        for part in args.kprime_list.split(","):
-            if not part.strip():
-                continue
-            kp = int(part)
+        for kp in args.kprime_list:
             spec = BenchmarkSpec("interval", {"k": 1, "kprime": kp})
             yield f"interval(1,{kp})", generate_benchmark(spec)
 
@@ -225,24 +235,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _timeout(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+def _checked(parse, ok, expected):
+    """An argparse `type`: `parse`, then reject what fails `ok`."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _state_cap(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+_timeout = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_state_cap = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# the scalability suite solves interval(1, k'), which needs k' >= 2
+_kprime_list = _checked(
+    lambda text: [int(part) for part in text.split(",") if part.strip()],
+    lambda kps: min(kps, default=2) >= 2,
+    "comma-separated integers >= 2",
+)
 
 
 def build_parser():
@@ -278,7 +293,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="run a learner comparison suite, emit CSV")
     p.add_argument("--suite", choices=("paper", "scalability"), default="paper")
-    p.add_argument("--kprime-list", default="10,50,100")
+    p.add_argument("--kprime-list", type=_kprime_list, default="10,50,100")
     p.add_argument("--timeout", type=_timeout, default=300.0)
     p.add_argument("--solver", default="internal")
     p.add_argument("--out", help="CSV path (default: stdout)")

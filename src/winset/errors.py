@@ -13,10 +13,6 @@ class AlphabetMismatchError(WinsetError):
     """Two automata/relations combined over different alphabets."""
 
 
-class InfiniteLanguageError(WinsetError):
-    """enumerate_finite called on an automaton with an infinite language."""
-
-
 class GameFormatError(WinsetError):
     """Syntax error in a game/automaton file."""
 

@@ -6,7 +6,7 @@ symbol index or None (epsilon).  Both-epsilon transitions are silent moves.
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, as_nfa, check_word, word_automaton, _moves, _trim_reachable
+from .automata import Alphabet, Nfa, as_nfa, check_word, from_words, _moves, _trim_reachable
 from .errors import AlphabetMismatchError
 
 
@@ -164,4 +164,4 @@ def image(t, x):
 
 def successors(t, u):
     """Nfa for E({u}) = { v | (u, v) in R(t) }."""
-    return image(t, word_automaton(t.alphabet, u))
+    return image(t, from_words(t.alphabet, [u]))

@@ -10,41 +10,11 @@ iterations — timeouts are a normal outcome for this learner.
 """
 
 import time
-from dataclasses import dataclass
 
-from .automata import Dfa, _reach_trim_dfa, shortlex_key
+from .automata import Dfa, _reach_trim_dfa, from_words
 from .errors import InfiniteBranchingError, SolveTimeout
 from .learning import run_cegis
 from .sample import check_contradiction, finite_words, is_consistent
-
-
-@dataclass(frozen=True)
-class PartialDfa:
-    """Deterministic automaton whose missing transitions reject."""
-
-    alphabet: object
-    state_count: int
-    delta: tuple  # rows of (state | None)
-    accepting: frozenset
-
-
-def prefix_tree_acceptor(alphabet, words):
-    """Tree-shaped partial DFA for exactly `words`; states in shortlex order
-    of their prefixes, the root (empty prefix) being state 0."""
-    words = sorted(set(words), key=shortlex_key)
-    prefixes = {()}
-    for w in words:
-        for i in range(1, len(w) + 1):
-            prefixes.add(w[:i])
-    ordered = sorted(prefixes, key=shortlex_key)
-    index = {u: i for i, u in enumerate(ordered)}
-    nsym = len(alphabet)
-    rows = [[None] * nsym for _ in ordered]
-    for u in ordered:
-        if u:
-            rows[index[u[:-1]]][u[-1]] = index[u]
-    accepting = frozenset(index[w] for w in words)
-    return PartialDfa(alphabet, len(ordered), tuple(tuple(r) for r in rows), accepting)
 
 
 def _find(parent, x):
@@ -123,13 +93,12 @@ def merge_learn(s, solver=None, deadline=None, on_merge=None):
     if closure is None:
         u = next(u for (u, a) in s.ex + s.uni if finite_words(a) is None)
         raise InfiniteBranchingError(s.alphabet.text(u))
-    pta = prefix_tree_acceptor(s.alphabet, closure)
+    pta = from_words(s.alphabet, closure)
     n = pta.state_count
     parent = list(range(n))
-    succ = {
-        q: {sym: tgt for sym, tgt in enumerate(row) if tgt is not None}
-        for q, row in enumerate(pta.delta)
-    }
+    succ = {}
+    for (p, sym, q) in sorted(pta.transitions):
+        succ.setdefault(p, {})[sym] = q
     accs = set(pta.accepting)
     for i in range(1, n):
         if deadline is not None and time.monotonic() > deadline:

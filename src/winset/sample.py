@@ -9,15 +9,8 @@ implies L(A) ⊆ L(B).
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automata import (
-    accepts,
-    complement,
-    enumerate_finite,
-    intersect,
-    is_finite,
-    shortest_word,
-    shortlex_key,
-)
+from . import automata
+from .automata import accepts, complement, intersect, shortest_word, shortlex_key
 from .errors import ContradictionError, ExternalSolverError, InternalConsistencyError
 from .prop import CnfInstance, solve_internal
 from .teacher import Existential, Negative, Positive, Universal
@@ -62,12 +55,8 @@ def add(s, cex):
     raise InternalConsistencyError(f"not a counterexample: {cex!r}")
 
 
-@lru_cache(maxsize=None)
-def finite_words(a):
-    """Enumerated language of a consequent if finite, else None (cached)."""
-    if not is_finite(a):
-        return None
-    return tuple(enumerate_finite(a))
+# each consequent's words, cached: every conjecture asks for them again
+finite_words = lru_cache(maxsize=None)(automata.finite_words)
 
 
 def is_consistent(d, s):

@@ -22,7 +22,6 @@ from winset.automata import (
     intersect,
     minimize,
     union,
-    word_automaton,
 )
 from winset.benchmarks import BenchmarkSpec, game_size, generate_benchmark, halfline_game
 from winset.cli import main
@@ -289,7 +288,7 @@ def test_8_micro_oracles():
     for _ in range(20):
         t = random_transducer(rng, AB)
         for u in all_words(2, 3):
-            img = image(t, word_automaton(AB, u))
+            img = image(t, from_words(AB, [u]))
             expected = {v for v in all_words(2, 4) if pair_accepted_brute(t, u, v)}
             ok = ok and language_upto(img, 4) == expected
         for u in all_words(2, 4):

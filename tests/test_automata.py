@@ -12,18 +12,16 @@ from winset.automata import (
     complement,
     determinize,
     difference,
-    enumerate_finite,
+    finite_words,
     from_words,
     intersect,
-    is_finite,
     minimize,
     shortest_word,
     to_dot,
     trim,
     union,
-    word_automaton,
 )
-from winset.errors import InfiniteLanguageError, InvalidWordError
+from winset.errors import InvalidWordError
 
 from oracles import all_words, language_upto, nfa_accepts_brute, random_nfa
 
@@ -181,38 +179,47 @@ def test_shortest_word_agrees_with_brute_force():
 
 def test_finite_consequent_enumeration():
     a = from_words(SEL, [SEL.word("e l l"), SEL.word("e l l l")])
-    assert is_finite(a)
-    assert enumerate_finite(a) == [SEL.word("e l l"), SEL.word("e l l l")]
+    assert finite_words(a) == (SEL.word("e l l"), SEL.word("e l l l"))
 
 
 def test_v0_is_infinite():
-    assert not is_finite(v0_nfa())
-    with pytest.raises(InfiniteLanguageError):
-        enumerate_finite(v0_nfa())
+    assert finite_words(v0_nfa()) is None
 
 
-def test_empty_language_is_finite():
+def test_finite_words_of_the_empty_language():
     a = Nfa(SEL, 2, 0, frozenset({(0, 0, 1)}), frozenset())
-    assert is_finite(a)
-    assert enumerate_finite(a) == []
+    assert finite_words(a) == ()
 
 
-def test_enumerate_finite_takes_a_1500_symbol_word():
+def test_finite_words_ignores_a_cycle_off_every_accepting_path():
+    # 0 -s-> 1 accepts; 0 -e-> 2 -l-> 2 loops but never reaches acceptance
+    a = Nfa(SEL, 3, 0, frozenset({(0, 0, 1), (0, 1, 2), (2, 2, 2)}), frozenset({1}))
+    assert finite_words(a) == (SEL.word("s"),)
+    # 2 -l-> 2 -s-> 1 reaches acceptance, but no path from 0 reaches 2
+    a = Nfa(SEL, 3, 0, frozenset({(0, 0, 1), (2, 2, 2), (2, 0, 1)}), frozenset({1}))
+    assert finite_words(a) == (SEL.word("s"),)
+
+
+def test_finite_words_takes_a_1500_symbol_word():
     # one state per symbol: a recursive walk would pass the recursion limit
     w = SEL.word("s " + " ".join(["l"] * 1500))
-    assert enumerate_finite(word_automaton(SEL, w)) == [w]
-    assert enumerate_finite(from_words(SEL, [w, w[:3], ()])) == [(), w[:3], w]
+    assert finite_words(from_words(SEL, [w])) == (w,)
+    assert finite_words(from_words(SEL, [w, w[:3], ()])) == ((), w[:3], w)
 
 
-def test_enumerate_finite_is_shortlex_sorted_and_complete():
+def test_finite_words_is_shortlex_sorted_and_complete():
     rng = random.Random(23)
     done = 0
     while done < 25:
         a = random_nfa(rng, AB)
-        if not is_finite(a):
+        words = finite_words(a)
+        if words is None:
+            # an n-state NFA has an infinite language iff it accepts a word
+            # whose length is in [n, 2n)
+            n = a.state_count
+            assert any(nfa_accepts_brute(a, w) for w in all_words(2, 2 * n - 1) if len(w) >= n)
             continue
         done += 1
-        words = enumerate_finite(a)
         keys = [(len(w), w) for w in words]
         assert keys == sorted(keys)
         if words:
@@ -267,8 +274,10 @@ def test_minimize_reaches_residual_count():
 # ------------------------------------------------------------- builders
 
 
-def test_word_automaton_single_word():
-    a = word_automaton(SEL, SEL.word("s l"))
+def test_from_words_single_word():
+    # one word gives its line automaton
+    a = from_words(SEL, [SEL.word("s l")])
+    assert a == Nfa(SEL, 3, 0, frozenset({(0, 0, 1), (1, 2, 2)}), frozenset({2}))
     assert language_upto(a, 4) == {SEL.word("s l")}
 
 
@@ -276,6 +285,35 @@ def test_from_words_trie():
     ws = [(), (0,), (0, 1)]
     a = from_words(AB, ws)
     assert language_upto(a, 4) == set(ws)
+
+
+def test_from_words_shapes():
+    s, l = SEL.index("s"), SEL.index("l")
+    t = from_words(SEL, [SEL.word("s"), SEL.word("s l l")])
+    assert t.state_count == 4          # eps, s, sl, sll in shortlex order
+    assert t.accepting == frozenset({1, 3})
+    assert t.transitions == frozenset({(0, s, 1), (1, l, 2), (2, l, 3)})
+    empty = from_words(SEL, [])
+    assert empty.state_count == 1 and empty.accepting == frozenset()
+    eps = from_words(SEL, [()])
+    assert eps.state_count == 1 and eps.accepting == frozenset({0})
+    # states follow the shortlex order of their prefixes, not the order the
+    # words are first met in: for {b, ab} the prefix a is state 1
+    a, b = AB.index("a"), AB.index("b")
+    t = from_words(AB, [(b,), (a, b)])
+    assert t.transitions == frozenset({(0, a, 1), (0, b, 2), (1, b, 3)})
+    assert t.accepting == frozenset({2, 3})
+
+
+def test_from_words_accepts_exactly_its_words():
+    rng = random.Random(5)
+    for _ in range(20):
+        words = {tuple(rng.randrange(2) for _ in range(rng.randint(0, 4)))
+                 for _ in range(rng.randint(0, 5))}
+        t = from_words(AB, words)
+        for probe in {tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))
+                      for _ in range(30)} | words:
+            assert accepts(t, probe) == (probe in words)
 
 
 def test_trim_drops_useless_states():

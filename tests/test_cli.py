@@ -248,9 +248,33 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command, whe
     target = tmp_path if where == "a directory" else tmp_path / "missing" / "out.txt"
     argv = [game if a == "GAME" else a for a in command] + [str(target)]
     rc = main(argv)
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 3
-    assert err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    if command[0] == "solve":
+        assert captured.out == ""  # refused before learning
+
+
+def test_solve_keeps_an_existing_out_file_until_it_has_a_dfa(tmp_path, capsys):
+    game = write_halfline(tmp_path)
+    out = tmp_path / "w.dfa"
+    out.write_text("old\n", encoding="utf-8")
+    rc = main(["solve", game, "--learner", "rpni", "--timeout", "0", "--out", str(out)])
+    assert rc == 1 and capsys.readouterr().out.startswith("timeout:")
+    assert out.read_text(encoding="utf-8") == "old\n"
+    missing = tmp_path / "new.dfa"
+    assert main(["solve", game, "--timeout", "0", "--out", str(missing)]) == 1
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("kprimes", ["3,x", "3,1", "0", "2.5"])
+def test_bad_kprime_list_is_a_usage_error(capsys, kprimes):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", "scalability", "--kprime-list", kprimes])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was solved
+    assert "argument --kprime-list" in captured.err
 
 
 def test_gen_prints_parseable_games(capsys):

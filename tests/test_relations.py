@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from winset.automata import Alphabet, Nfa, accepts, from_words, union, word_automaton
+from winset.automata import Alphabet, Nfa, accepts, from_words, union
 from winset.errors import AlphabetMismatchError
 from winset.relations import Transducer, accepts_pair, image, invert, successors
 
@@ -73,7 +73,7 @@ def test_invert_empty_relation():
 
 def test_image_example():
     t = edge_transducer()
-    img = image(t, word_automaton(SEL, SEL.word("s l l")))
+    img = image(t, from_words(SEL, [SEL.word("s l l")]))
     assert language_upto(img, 6) == {SEL.word("e l l"), SEL.word("e l l l")}
 
 
@@ -85,7 +85,7 @@ def test_image_of_empty_language():
 
 def test_image_of_inverse_gives_predecessors():
     t = edge_transducer()
-    pre = image(invert(t), word_automaton(SEL, SEL.word("e l l l")))
+    pre = image(invert(t), from_words(SEL, [SEL.word("e l l l")]))
     assert language_upto(pre, 6) == {SEL.word("s l l"), SEL.word("s l l l")}
 
 
@@ -94,7 +94,7 @@ def test_image_agrees_with_pair_acceptance():
     for _ in range(25):
         t = random_transducer(rng, AB)
         for u in all_words(2, 3):
-            img = image(t, word_automaton(AB, u))
+            img = image(t, from_words(AB, [u]))
             for v in all_words(2, 4):
                 assert accepts(img, v) == pair_accepted_brute(t, u, v), (t, u, v)
 

@@ -1,5 +1,5 @@
-"""Merging-learner tests: prefix tree shape, merge behavior on small frozen
-cases, and the CEGIS wrapper."""
+"""Merging-learner tests: merge behavior on small frozen cases and the CEGIS
+wrapper."""
 
 import random
 
@@ -10,7 +10,7 @@ from winset.benchmarks import halfline_game
 from winset.errors import ContradictionError, ExternalSolverError, InfiniteBranchingError
 from winset.learning import LearnOptions
 from winset.prop import solve_internal
-from winset.rpni import learn_rpni, merge_learn, prefix_tree_acceptor
+from winset.rpni import learn_rpni, merge_learn
 from winset.sample import is_consistent
 from winset.teacher import query
 
@@ -19,39 +19,6 @@ from oracles import dfa_accepts_brute, infinitely_branching_game, make_sample, r
 AB = Alphabet(("a", "b"))
 SEL = Alphabet(("s", "e", "l"))
 UNARY = Alphabet(("a",))
-
-
-def pta_accepts(pta, w):
-    q = 0
-    for sym in w:
-        q = pta.delta[q][sym]
-        if q is None:
-            return False
-    return q in pta.accepting
-
-
-def test_prefix_tree_acceptor_shapes():
-    pta = prefix_tree_acceptor(SEL, [SEL.word("s"), SEL.word("s l l")])
-    assert pta.state_count == 4          # eps, s, sl, sll in shortlex order
-    assert pta.accepting == frozenset({1, 3})
-    assert pta.delta[0][SEL.index("s")] == 1
-    assert pta.delta[1][SEL.index("l")] == 2
-    assert pta.delta[0][SEL.index("l")] is None
-    empty = prefix_tree_acceptor(SEL, [])
-    assert empty.state_count == 1 and empty.accepting == frozenset()
-    eps = prefix_tree_acceptor(SEL, [()])
-    assert eps.state_count == 1 and eps.accepting == frozenset({0})
-
-
-def test_prefix_tree_accepts_exactly_its_words():
-    rng = random.Random(5)
-    for _ in range(20):
-        words = {tuple(rng.randrange(2) for _ in range(rng.randint(0, 4)))
-                 for _ in range(rng.randint(0, 5))}
-        pta = prefix_tree_acceptor(AB, words)
-        for probe in {tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))
-                      for _ in range(30)} | words:
-            assert pta_accepts(pta, probe) == (probe in words)
 
 
 def live_states(d):

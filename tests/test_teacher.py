@@ -5,7 +5,7 @@ the empty set, the Player-0 half {s l^n | n >= 2}, and the actual winning
 set {s l^n | n >= 2} + {e l^m | m >= 3}.
 """
 
-from winset.automata import Nfa, determinize, enumerate_finite, from_words, minimize, union
+from winset.automata import Nfa, determinize, finite_words, from_words, minimize, union
 from winset.benchmarks import halfline_game
 from winset.teacher import (
     Existential,
@@ -116,7 +116,7 @@ def test_counterexample_validity_clauses():
             assert dfa_accepts_brute(c, u)
             assert not dfa_accepts_brute(dfa_of(G.safe), u)
         else:
-            conseq_words = set(enumerate_finite(cex.consequent))
+            conseq_words = set(finite_words(cex.consequent))
             assert conseq_words == brute_successors(u)
             assert dfa_accepts_brute(c, u)
             if isinstance(cex, Existential):
