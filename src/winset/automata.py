@@ -67,8 +67,9 @@ class Alphabet:
 
 
 def check_word(alphabet, u):
+    size = len(alphabet.symbols)
     for i in u:
-        if not (0 <= i < len(alphabet)):
+        if not (0 <= i < size):
             raise InvalidWordError(f"symbol index {i} out of range for {alphabet.symbols}")
 
 

@@ -96,7 +96,8 @@ def _stats_row(game_name, g, res):
     }
 
 
-def _append_csv(path, rows):
+def _stats_header(path):
+    """The header line of an existing --stats file, or "" for none."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -105,6 +106,11 @@ def _append_csv(path, rows):
     if header and header != ",".join(STATS_COLUMNS):
         # rows under another header would land in the wrong columns
         raise GameFormatError(f"{path} has other columns than --stats writes: {header}")
+    return header
+
+
+def _append_csv(path, rows):
+    header = _stats_header(path)
     with _open_out(path, "a") as fh:
         writer = csv.DictWriter(fh, fieldnames=STATS_COLUMNS)
         if not header:
@@ -127,6 +133,8 @@ def cmd_solve(args):
     for path in (args.out, args.stats):
         if path:
             _check_writable(path)
+    if args.stats:
+        _stats_header(args.stats)
     res = _run_learner(g, args)
     pos, neg, ex, uni = res.sample_sizes
     print(
@@ -204,6 +212,8 @@ def _suite_games(args):
 
 
 def cmd_bench(args):
+    if args.out:
+        _check_writable(args.out)
     rows = []
     for name, g in _suite_games(args):
         for learner in ("sat", "rpni"):

@@ -10,8 +10,13 @@ Variable families (all housed in a VarBook, one per (sample, n) build):
     y^i_{q,q'}      joint reachability with the i-th universal consequent
                     automaton (one-directional: reachable implies set)
     z^i_{q,q',l}    exact joint reachability in l steps with the i-th
-                    existential consequent, l ≤ k = n·|Q_A| − 1; any word in
-                    the intersection is witnessed by one of length ≤ k
+                    existential consequent A, l ≤ k, where k = n·|Q_A| − 1,
+                    or for a finite L(A) the least of that and the length
+                    of its longest word (0 when L(A) is empty).  Any word
+                    in L(B) ∩ L(A) is witnessed by one of length ≤ k: a
+                    shortest one has at most n·|Q_A| − 1 letters (pigeonhole
+                    on the product), and every word of a finite L(A) is at
+                    most its longest, whether or not A is trimmed
 
 All four constraint families share the one x-universe, so a word's run is
 encoded once no matter how many sample items mention it.  Each constraint
@@ -56,7 +61,7 @@ from .automata import Dfa, shortlex_key
 from .errors import CapExceededError, InternalConsistencyError
 from .learning import LearnOptions, run_cegis
 from .prop import CnfInstance, solve_internal
-from .sample import check_contradiction
+from .sample import check_contradiction, finite_words
 
 
 class VarBook:
@@ -93,6 +98,9 @@ class VarBook:
         self._zk = []
         for (_u, a) in sample.ex:
             k = n * a.state_count - 1
+            words = finite_words(a)
+            if words is not None:
+                k = min(k, max(map(len, words), default=0))
             self._z0.append(cursor)
             self._zk.append(k)
             cursor += n * a.state_count * (k + 1)

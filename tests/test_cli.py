@@ -80,6 +80,18 @@ def test_solve_stats_refuses_a_file_with_other_columns(tmp_path, capsys):
     assert stats.read_text(encoding="utf-8") == ",".join(CSV_COLUMNS) + "\n"
 
 
+def test_solve_checks_the_stats_header_before_learning(tmp_path, capsys):
+    game = write_halfline(tmp_path)
+    stats = tmp_path / "other.csv"
+    stats.write_text("x,y,z\n1,2,3\n", encoding="utf-8")
+    rc = main(["solve", game, "--learner", "rpni", "--stats", str(stats)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""  # refused before learning
+    assert "other columns" in captured.err
+    assert stats.read_text(encoding="utf-8") == "x,y,z\n1,2,3\n"
+
+
 def test_solve_out_then_verify_roundtrip(tmp_path, capsys):
     game = write_halfline(tmp_path)
     dfa_path = tmp_path / "w.aut"
@@ -253,6 +265,15 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command, whe
     assert captured.err.startswith(f"error: cannot write {target}: ")
     if command[0] == "solve":
         assert captured.out == ""  # refused before learning
+
+
+def test_bench_checks_out_before_any_solve(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    rc = main(["bench", "--suite", "scalability", "--kprime-list", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""  # no cell was solved
+    assert captured.err.startswith(f"error: cannot write {target}: ")
 
 
 def test_solve_keeps_an_existing_out_file_until_it_has_a_dfa(tmp_path, capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from winset import prop
-from winset.automata import Alphabet, from_words
+from winset.automata import Alphabet, Nfa, from_words
 from winset.benchmarks import halfline_game
 from winset.errors import CapExceededError, InternalConsistencyError
 from winset.learning import LearnOptions
@@ -36,8 +36,11 @@ from oracles import (
     bfs_order,
     exists_consistent_dfa,
     labelled_words,
+    language_upto,
     make_sample,
+    random_nfa,
     random_sample_parts,
+    random_word,
 )
 
 AB = Alphabet(("a", "b"))
@@ -63,14 +66,24 @@ def test_dfa_constraint_clause_counts():
 
 
 def test_z_layer_bound():
-    conseq = from_words(AB, [AB.word("a")])  # two states: eps, a
-    assert conseq.state_count == 2
-    s = Sample(AB, (), (), (((), conseq),), ())
-    book = VarBook(s, 3)
-    assert book.k(0) == 3 * 2 - 1
-    # z ids cover exactly layers 0..k without overlap into var_count
-    top = book.z(0, 2, 1, book.k(0))
-    assert top == book.var_count
+    a, b = AB.index("a"), AB.index("b")
+    one_word = from_words(AB, [AB.word("a")])  # two states: eps, a
+    a_bstar = Nfa(AB, 2, 0, frozenset({(0, a, 1), (1, b, 1)}), frozenset({1}))
+    empty = Nfa(AB, 2, 0, frozenset({(0, a, 1), (1, a, 1)}), frozenset())
+    n = 3
+    cases = [
+        (one_word, 1),  # its longest word, not n·|Q_A| − 1 = 5
+        (a_bstar, n * 2 - 1),  # a cycle on an accepting path: the pigeonhole bound
+        (empty, 0),  # nothing to witness
+    ]
+    for conseq, k in cases:
+        assert conseq.state_count == 2
+        s = Sample(AB, (), (), (((), conseq),), ())
+        book = VarBook(s, n)
+        assert book.k(0) == k
+        # z ids cover exactly layers 0..k without overlap into var_count
+        top = book.z(0, n - 1, 1, book.k(0))
+        assert top == book.var_count
 
 
 def test_run_constraints_on_empty_universe():
@@ -327,6 +340,44 @@ def test_formula_sat_iff_exhaustive_dfa_search():
             if model is not None:
                 ok, item = is_consistent(extract_dfa(model, book), s)
                 assert ok, item
+
+
+def test_formula_sat_iff_exhaustive_search_over_automaton_consequents():
+    """Existential consequents as random automata, half of them cut to their
+    forward edges (a finite language), so both z-layer bounds are checked:
+    the pigeonhole one and the longest word.  The search decides
+    L(D) ∩ L(A) ≠ ∅ from A's words up to n·|Q_A| − 1 letters, enough for a
+    shortest word of the product with an n-state DFA."""
+    rng = random.Random(1618)
+    kinds = {"infinite": 0, "finite": 0, "empty": 0}
+    verdicts = set()
+    for draw in range(300):
+        pos, neg, _ex, uni = random_sample_parts(rng, max_len=2, max_consequent=2)
+        ex = []
+        for _ in range(rng.randint(1, 2)):
+            a = random_nfa(rng, AB, max_states=4)
+            if draw % 2:
+                forward = frozenset(t for t in a.transitions if t[0] < t[2])
+                a = replace(a, transitions=forward)
+            ex.append((random_word(rng, 2, 2), a))
+            na = a.state_count
+            if any(len(w) >= na for w in language_upto(a, 2 * na - 1)):
+                kinds["infinite"] += 1
+            else:
+                kinds["finite" if language_upto(a, na) else "empty"] += 1
+        s = make_sample(AB, pos, neg, [], uni)
+        s = replace(s, ex=tuple(ex))
+        for n in (1, 2):
+            model, book = solve_sample(s, n)
+            witnesses = [(u, sorted(language_upto(a, n * a.state_count - 1))) for u, a in ex]
+            want = exists_consistent_dfa(2, n, pos, neg, witnesses, uni)
+            assert (model is not None) == want, (pos, neg, ex, uni, n)
+            verdicts.add(want)
+            if model is not None:
+                ok, item = is_consistent(extract_dfa(model, book), s)
+                assert ok, item
+    assert min(kinds.values()) >= 5, kinds
+    assert verdicts == {False, True}
 
 
 def test_progress_and_monotone_sizes_on_halfline():
