@@ -91,6 +91,7 @@ class Nfa:
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         n = self.state_count
+        nsym = len(self.alphabet)
         if n <= 0:
             raise ValueError("state_count must be positive")
         if not (0 <= self.initial < n):
@@ -98,7 +99,7 @@ class Nfa:
         for (p, a, q) in self.transitions:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
-            if not (0 <= a < len(self.alphabet)):
+            if not (0 <= a < nsym):
                 raise ValueError(f"transition symbol out of range: {(p, a, q)}")
         for q in self.accepting:
             if not (0 <= q < n):
@@ -118,12 +119,13 @@ class Dfa:
         object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         n = self.state_count
+        nsym = len(self.alphabet)
         if n <= 0:
             raise ValueError("state_count must be positive")
         if len(self.delta) != n:
             raise ValueError("delta must have one row per state")
         for row in self.delta:
-            if len(row) != len(self.alphabet):
+            if len(row) != nsym:
                 raise ValueError("delta row must cover the whole alphabet")
             for q in row:
                 if not (0 <= q < n):
@@ -314,41 +316,49 @@ def difference(a, b):
 def shortest_word(a):
     """Shortlex-least accepted word, or None for the empty language.
 
-    Forward BFS finds the minimal accepted length d; exact-length backward
-    layers then let a greedy pass pick the least symbol at every position.
+    One forward breadth-first pass over groups of states.  A group holds the
+    states whose shortlex-least access word is the group's word.  Groups are
+    expanded in queue order, and each symbol in declared order; the next
+    group is the set of successors not seen in an earlier group.  A state's
+    least access word is some predecessor's least word plus one symbol, so
+    the groups are reached in shortlex order of their words, and the first
+    group that holds an accepting state gives the answer.  Each state joins
+    one group, so the search follows each transition at most once; it needs
+    no predecessor map and stops at the first accepting group.
+
+    The grouping matters on NFAs.  With 0 -b-> 2, 0 -b-> 3, 2 -b-> 4,
+    3 -a-> 4 and 4 accepting, the states 2 and 3 share the word b; a search
+    over single states would expand 2 before 3 and answer b b, not b a.
     """
     a = as_nfa(a)
     if not a.accepting:
         return None
-    moves = _moves(a)
-    nsym = len(a.alphabet)
-    pre = {}
+    if a.initial in a.accepting:
+        return ()
+    moves = {}  # unlike _moves, unsorted: groups are sets, so no order is needed
     for (p, sym, q) in a.transitions:
-        pre.setdefault(q, []).append((p, sym))
-    # Backward layers: layer[i] = states with a path of length exactly i to accepting.
-    layer = [frozenset(a.accepting)]
-    dstar = None
-    if a.initial in layer[0]:
-        dstar = 0
-    bound = a.state_count  # a shortest accepted word is witnessed by a simple path
-    while dstar is None and len(layer) <= bound:
-        prev = layer[-1]
-        cur = frozenset(p for q in prev for (p, _sym) in pre.get(q, ()))
-        layer.append(cur)
-        if a.initial in cur:
-            dstar = len(layer) - 1
-    if dstar is None:
-        return None
-    word = []
-    frontier = {a.initial}
-    for rem in range(dstar, 0, -1):
+        moves.setdefault((p, sym), []).append(q)
+    nsym = len(a.alphabet)
+    seen = {a.initial}
+    groups = [{a.initial}]
+    parent = [None]  # parent[i] = (group index, symbol) that reached group i
+    i = 0
+    while i < len(groups):
         for sym in range(nsym):
-            nxt = {q for p in frontier for q in moves.get((p, sym), ())} & layer[rem - 1]
-            if nxt:
-                word.append(sym)
-                frontier = nxt
-                break
-    return tuple(word)
+            nxt = {q for p in groups[i] for q in moves.get((p, sym), ()) if q not in seen}
+            if not nxt:
+                continue
+            if not nxt.isdisjoint(a.accepting):
+                word = [sym]
+                while parent[i] is not None:
+                    i, sym = parent[i]
+                    word.append(sym)
+                return tuple(reversed(word))
+            seen |= nxt
+            groups.append(nxt)
+            parent.append((i, sym))
+        i += 1
+    return None
 
 
 def _coreachable(a):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, ContradictionError, InternalConsistencyError, SolveTimeout
 from .prop import solve_internal
 from .sample import add, empty_sample
-from .teacher import query
+from .teacher import compile_game, query
 
 OUTCOMES = ("solved", "timeout", "contradiction", "cap-exceeded")
 
@@ -54,7 +54,9 @@ def run_cegis(game, conjecture, tag, opts=None):
     s = empty_sample(game.alphabet)
     iterations = 0
     solve_time = 0.0
-    teacher_time = 0.0
+    t0 = time.monotonic()
+    compiled = compile_game(game)
+    teacher_time = time.monotonic() - t0
 
     def result(outcome, dfa=None):
         return LearnResult(
@@ -78,7 +80,7 @@ def run_cegis(game, conjecture, tag, opts=None):
             d = conjecture(s, solver, deadline)
             solve_time += time.monotonic() - t0
             t0 = time.monotonic()
-            cex = query(game, d)
+            cex = query(compiled, d)
             teacher_time += time.monotonic() - t0
             if cex is None:
                 return result("solved", d)

@@ -174,6 +174,24 @@ def test_shortest_word_agrees_with_brute_force():
             assert got == brute[0]  # all_words is shortlex-ordered
 
 
+def test_shortest_word_breaks_ties_between_states_with_one_access_word():
+    # 2 and 3 are both reached by b; the least accepted word goes on from 3
+    a = Nfa(AB, 5, 0, frozenset({(0, 1, 2), (0, 1, 3), (2, 1, 4), (3, 0, 4)}), frozenset({4}))
+    assert shortest_word(a) == AB.word("b a")
+
+
+def test_shortest_word_is_the_first_accepted_word_in_shortlex_order():
+    # a shortest accepted word follows a simple path, so it is at most
+    # state_count - 1 letters long
+    rng = random.Random(23)
+    for alphabet in (AB, SEL):
+        for _ in range(3000):
+            a = random_nfa(rng, alphabet, max_states=6)
+            words = all_words(len(alphabet.symbols), a.state_count)
+            brute = next((w for w in words if nfa_accepts_brute(a, w)), None)
+            assert shortest_word(a) == brute, a
+
+
 # ------------------------------------------------------- finiteness
 
 

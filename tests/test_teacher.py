@@ -2,11 +2,28 @@
 
 The conjectures mirror the hand-run of the learning loop on that game:
 the empty set, the Player-0 half {s l^n | n >= 2}, and the actual winning
-set {s l^n | n >= 2} + {e l^m | m >= 3}.
+set {s l^n | n >= 2} + {e l^m | m >= 3}.  The compiled-game tests also
+query seeded random conjectures on the paper games.
 """
 
-from winset.automata import Nfa, determinize, finite_words, from_words, minimize, union
-from winset.benchmarks import halfline_game
+import random
+
+from winset import learning, teacher
+from winset.automata import (
+    Nfa,
+    as_nfa,
+    determinize,
+    difference,
+    finite_words,
+    from_words,
+    intersect,
+    minimize,
+    shortest_word,
+    union,
+)
+from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
+from winset.rpni import learn_rpni
+from winset.satlearn import learn
 from winset.teacher import (
     Existential,
     Negative,
@@ -16,13 +33,15 @@ from winset.teacher import (
     check_initial,
     check_safe,
     check_universal,
+    compile_game,
     normalize_consequent,
     query,
 )
 
-from oracles import all_words, dfa_accepts_brute, pair_accepted_brute
+from oracles import all_words, dfa_accepts_brute, pair_accepted_brute, random_nfa
 
 G = halfline_game(2)
+CG = compile_game(G)
 A = G.alphabet
 W = A.word
 
@@ -51,37 +70,37 @@ def consequent_of(*texts):
 
 
 def test_check_initial():
-    assert check_initial(G, EMPTY) == W("s l l")
-    assert check_initial(G, dfa_of(G.initial)) is None
-    assert check_initial(G, SIGMA_STAR) is None
+    assert check_initial(CG, EMPTY) == W("s l l")
+    assert check_initial(CG, dfa_of(G.initial)) is None
+    assert check_initial(CG, SIGMA_STAR) is None
 
 
 def test_check_safe():
     only_sl = dfa_of(from_words(A, [W("s l")]))
-    assert check_safe(G, only_sl) == W("s l")
-    assert check_safe(G, WINNING) is None      # L(c) inside F
-    assert check_safe(G, dfa_of(G.safe)) is None
+    assert check_safe(CG, only_sl) == W("s l")
+    assert check_safe(CG, WINNING) is None      # L(c) inside F
+    assert check_safe(CG, dfa_of(G.safe)) is None
 
 
 def test_check_existential():
-    hit = check_existential(G, HALF)
+    hit = check_existential(CG, HALF)
     assert hit is not None
     u, conseq = hit
     assert u == W("s l l")
     assert conseq == consequent_of("e l l", "e l l l")
-    assert check_existential(G, EMPTY) is None   # vacuous
-    assert check_existential(G, WINNING) is None
+    assert check_existential(CG, EMPTY) is None   # vacuous
+    assert check_existential(CG, WINNING) is None
 
 
 def test_check_universal():
     c = dfa_of(union(tag_tail("s", 2), from_words(A, [W("e l l")])))
-    hit = check_universal(G, c)
+    hit = check_universal(CG, c)
     assert hit is not None
     u, conseq = hit
     assert u == W("e l l")
     assert conseq == consequent_of("s l", "s l l")   # s l escapes L(c)
-    assert check_universal(G, HALF) is None          # no Player-1 word kept
-    assert check_universal(G, WINNING) is None
+    assert check_universal(CG, HALF) is None         # no Player-1 word kept
+    assert check_universal(CG, WINNING) is None
 
 
 def test_query_trace():
@@ -155,3 +174,52 @@ def test_yes_means_winning_on_finite_cuts():
 def test_query_is_deterministic():
     for c in (EMPTY, HALF, WINNING):
         assert query(G, c) == query(G, c)
+
+
+PAPER_GAMES = ("diagonal", "box", "solitary-box", "evasion", "follow", "program-repair")
+
+
+def test_compile_game_is_idempotent():
+    assert compile_game(CG) is CG
+    assert CG.game is G
+
+
+def test_compiled_game_gives_the_same_counterexamples():
+    for c in (EMPTY, HALF, WINNING, SIGMA_STAR):
+        assert query(CG, c) == query(G, c)
+    rng = random.Random(31)
+    kinds = set()
+    for name in PAPER_GAMES:
+        g = generate_benchmark(BenchmarkSpec(name))
+        cg = compile_game(g)
+        for i in range(50):
+            # two conjectures in three cover I and one of those stays in F,
+            # so that all four checks get to answer
+            c = random_nfa(rng, g.alphabet)
+            if i % 3:
+                c = union(c, g.initial)
+            if i % 3 == 2:
+                c = intersect(c, g.safe)
+            c = minimize(determinize(c))
+            cex = query(cg, c)
+            assert cex == query(g, c), (name, i)
+            assert check_safe(cg, c) == shortest_word(difference(as_nfa(c), g.safe))
+            kinds.add(type(cex))
+    assert kinds == {Positive, Negative, Existential, Universal, type(None)}
+
+
+def test_run_cegis_compiles_the_game_once(monkeypatch):
+    compiled = []
+
+    def counting(g):
+        if not isinstance(g, teacher.CompiledGame):
+            compiled.append(g)
+        return compile_game(g)
+
+    monkeypatch.setattr(teacher, "compile_game", counting)
+    monkeypatch.setattr(learning, "compile_game", counting)
+    for run in (learn, learn_rpni):
+        compiled.clear()
+        res = run(G)
+        assert res.outcome == "solved" and res.iterations > 1
+        assert compiled == [G]
