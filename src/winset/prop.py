@@ -16,6 +16,18 @@ against the clauses, while its UNSAT verdict is taken on trust here
 (`sample.check_contradiction` re-proves the one that would end a run as a
 contradiction).
 
+Inside the CDCL solver, per-literal state lives in lists indexed by the
+literal itself: `value[lit]` and `watches[lit]` have 2*var_count+1 slots,
+and a negative literal -v falls in the upper half, so `value[-v]` is the
+value of -v (an assignment writes both polarities).  A watch list holds the
+clause lists themselves, and a clause that forces a literal is that
+literal's `reason`.  The decision heap keeps one live entry
+(-activity[v], v) for each unassigned variable, plus stale entries of
+lower activity that are dropped when popped; `queued[v]` says that v's live
+entry is in the heap, so backtracking pushes only the variables whose live
+entry was popped.  A decision therefore takes the unassigned variable with
+the highest activity, ties going to the lowest index.
+
 A CNF may carry an optional `symmetry` block: clauses over further
 variables that are satisfiable together with the main clauses whenever the
 main clauses are satisfiable alone, so UNSAT with the block proves UNSAT
@@ -73,117 +85,110 @@ def _luby(i):
 
 class _Cdcl:
     def __init__(self, cnf, deadline):
-        self.nv = cnf.var_count
+        nv = self.nv = cnf.var_count
         self.deadline = deadline
-        self.assign = [None] * (self.nv + 1)
-        self.phase = [False] * (self.nv + 1)
-        self.level = [0] * (self.nv + 1)
-        self.reason = [None] * (self.nv + 1)
-        self.activity = [0.0] * (self.nv + 1)
+        # indexed by literal: value[-v] (in the upper half) is the value of -v
+        self.value = [None] * (2 * nv + 1)
+        self.phase = [False] * (nv + 1)
+        self.level = [0] * (nv + 1)
+        self.reason = [None] * (nv + 1)  # the clause that forced v, or None
+        self.activity = [0.0] * (nv + 1)
         self.act_inc = 1.0
-        self.clauses = []
-        self.watches = {}
+        self.seen = [False] * (nv + 1)  # scratch for _analyze, all False between calls
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.heap = [(0.0, v) for v in range(1, self.nv + 1)]
+        # one live entry (-activity[v], v) per queued v, plus stale ones
+        self.heap = [(0.0, v) for v in range(1, nv + 1)]
+        self.queued = [True] * (nv + 1)
         self.units = []
         self.ok = True
+        watches = self.watches = [[] for _ in range(2 * nv + 1)]
         for raw in cnf.clauses:
             if len(raw) > 1:
-                self._attach(list(raw))  # a copy: watching reorders it
+                cl = list(raw)  # a copy: watching reorders it
+                watches[cl[0]].append(cl)
+                watches[cl[1]].append(cl)
             elif raw:
                 self.units.append(raw[0])
             else:
                 self.ok = False
                 return
 
-    def _attach(self, lits):
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches.setdefault(lits[0], []).append(ci)
-        self.watches.setdefault(lits[1], []).append(ci)
-        return ci
-
-    def _value(self, lit):
-        va = self.assign[abs(lit)]
-        if va is None:
-            return None
-        return va if lit > 0 else not va
-
     def _enqueue(self, lit, reason):
         v = abs(lit)
-        self.assign[v] = lit > 0
+        self.value[lit] = True
+        self.value[-lit] = False
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
     def _propagate(self):
-        # hot loop: literal values computed inline on a locally-bound array
+        """The clause falsified by unit propagation, or None."""
         trail = self.trail
         watches = self.watches
-        clauses = self.clauses
-        assign = self.assign
+        value = self.value
         level = self.level
         reason = self.reason
         level_now = len(self.trail_lim)
-        while self.qhead < len(trail):
-            falsified = -trail[self.qhead]
-            self.qhead += 1
-            wl = watches.get(falsified)
-            if not wl:
-                continue
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            wl = watches[falsified]
             i = 0
             end = len(wl)
             while i < end:
-                ci = wl[i]
-                cl = clauses[ci]
+                cl = wl[i]
                 if cl[0] == falsified:
                     cl[0], cl[1] = cl[1], cl[0]
                 lit0 = cl[0]
-                va = assign[lit0] if lit0 > 0 else assign[-lit0]
-                first = va if (va is None or lit0 > 0) else not va
+                first = value[lit0]
                 if first is True:
                     i += 1
                     continue
                 for j in range(2, len(cl)):
                     lj = cl[j]
-                    vj = assign[lj] if lj > 0 else assign[-lj]
-                    if vj is None or (vj if lj > 0 else not vj):
-                        cl[1], cl[j] = cl[j], cl[1]
-                        watches.setdefault(cl[1], []).append(ci)
+                    if value[lj] is not False:
+                        cl[1], cl[j] = lj, cl[1]
+                        watches[lj].append(cl)
                         end -= 1
                         wl[i] = wl[end]
                         wl.pop()
                         break
                 else:
                     if first is False:
-                        return ci
+                        self.qhead = qhead
+                        return cl
+                    value[lit0] = True
+                    value[-lit0] = False
                     v = lit0 if lit0 > 0 else -lit0
-                    assign[v] = lit0 > 0
                     level[v] = level_now
-                    reason[v] = ci
+                    reason[v] = cl
                     trail.append(lit0)
                     i += 1
+        self.qhead = qhead
         return None
 
     def _bump(self, v):
-        self.activity[v] += self.act_inc
-        if self.activity[v] > 1e100:
+        act = self.activity[v] = self.activity[v] + self.act_inc
+        if act > 1e100:
             for u in range(1, self.nv + 1):
                 self.activity[u] *= 1e-100
             self.act_inc *= 1e-100
+            value = self.value
+            self.queued = [False] + [value[u] is None for u in range(1, self.nv + 1)]
             self.heap = [(-self.activity[u], u) for u in range(1, self.nv + 1)
-                         if self.assign[u] is None]
+                         if value[u] is None]
             heapq.heapify(self.heap)
             return
-        heapq.heappush(self.heap, (-self.activity[v], v))
+        heapq.heappush(self.heap, (-act, v))
+        self.queued[v] = True
 
-    def _analyze(self, ci):
+    def _analyze(self, confl):
         learned = []
-        seen = [False] * (self.nv + 1)
+        seen = self.seen
         counter = 0
-        confl = self.clauses[ci]
         p = None
         trail = self.trail
         level = self.level
@@ -211,47 +216,64 @@ class _Cdcl:
             counter -= 1
             if counter == 0:
                 break
-            confl = self.clauses[self.reason[pv]]
+            confl = self.reason[pv]
+        for lit in learned:
+            seen[lit if lit > 0 else -lit] = False
         learned.append(-p)
         if len(learned) == 1:
             return learned, 0
-        back = max(self.level[abs(l)] for l in learned[:-1])
+        back = max(level[abs(l)] for l in learned[:-1])
         return learned, back
 
     def _backtrack(self, blevel):
         target = self.trail_lim[blevel]
         trail = self.trail
         phase = self.phase
-        assign = self.assign
+        value = self.value
         activity = self.activity
+        queued = self.queued
         heap = self.heap
         push = heapq.heappush
-        while len(trail) > target:
-            lit = trail.pop()
+        for lit in trail[target:]:
             v = lit if lit > 0 else -lit
             phase[v] = lit > 0
-            assign[v] = None
-            push(heap, (-activity[v], v))
+            value[lit] = value[-lit] = None
+            if not queued[v]:
+                push(heap, (-activity[v], v))
+                queued[v] = True
+        del trail[target:]
         del self.trail_lim[blevel:]
         self.qhead = target
 
     def _pick(self):
-        while self.heap:
-            _act, v = heapq.heappop(self.heap)
-            if self.assign[v] is None:
-                return v
-        return None  # every unassigned variable has a heap entry
+        """The unassigned variable of highest activity, ties to the lowest
+        index, or None.  Every unassigned v has its live entry in the heap,
+        which sorts before v's stale ones."""
+        heap = self.heap
+        activity = self.activity
+        queued = self.queued
+        value = self.value
+        pop = heapq.heappop
+        while heap:
+            act, v = pop(heap)
+            if act == -activity[v]:
+                queued[v] = False
+                if value[v] is None:
+                    return v
+        return None
 
     def search(self):
         """The CDCL loop as a generator: it yields after each Luby restart and
         returns the model (var -> bool), or None when unsatisfiable."""
         if not self.ok:
             return None
+        value = self.value
         for lit in self.units:
-            if self._value(lit) is False:
+            if value[lit] is False:
                 return None
-            if self._value(lit) is None:
+            if value[lit] is None:
                 self._enqueue(lit, None)
+        watches = self.watches
         conflicts = 0
         restart_round = 0
         ceiling = 64 * _luby(restart_round)
@@ -261,17 +283,19 @@ class _Cdcl:
             if self.deadline is not None and steps % 256 == 0:
                 if time.monotonic() > self.deadline:
                     raise SolveTimeout("satisfiability check hit the deadline")
-            ci = self._propagate()
-            if ci is not None:
+            confl = self._propagate()
+            if confl is not None:
                 if not self.trail_lim:
                     return None
-                learned, back = self._analyze(ci)
+                learned, back = self._analyze(confl)
                 self._backtrack(back)
                 if len(learned) == 1:
                     self._enqueue(learned[0], None)
                 else:
                     lits = [learned[-1]] + learned[:-1]
-                    self._enqueue(lits[0], self._attach(lits))
+                    watches[lits[0]].append(lits)
+                    watches[lits[1]].append(lits)
+                    self._enqueue(lits[0], lits)
                 conflicts += 1
                 self.act_inc *= 1.0 / 0.95
                 if conflicts >= ceiling:
@@ -284,7 +308,7 @@ class _Cdcl:
             else:
                 v = self._pick()
                 if v is None:
-                    return {u: self.assign[u] for u in range(1, self.nv + 1)}
+                    return {u: value[u] for u in range(1, self.nv + 1)}
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(v if self.phase[v] else -v, None)
 

@@ -49,6 +49,64 @@ def test_solver_agrees_with_brute_force():
     assert sat >= 5 and unsat >= 5  # the mix actually exercises both answers
 
 
+def run_to_answer(solver):
+    """Run a `_Cdcl` search through its restarts; its model or None."""
+    search = solver.search()
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+
+
+def test_pick_is_the_most_active_unassigned_variable():
+    """Every decision takes the unassigned variable with the highest activity,
+    ties going to the lowest index, whatever stale entries the heap holds."""
+    rng = random.Random(8)
+    picks = ranked = 0
+    for _ in range(50):
+        nv = rng.randint(15, 40)
+        cnf = random_3cnf(rng, nv, int(nv * rng.uniform(3.5, 4.8)))
+        solver = prop._Cdcl(cnf, None)
+        real_pick = solver._pick
+
+        def pick():
+            nonlocal picks, ranked
+            assigned = {abs(lit) for lit in solver.trail}
+            free = [v for v in range(1, nv + 1) if v not in assigned]
+            want = min(free, key=lambda v: (-solver.activity[v], v), default=None)
+            got = real_pick()
+            assert got == want
+            picks += 1
+            ranked += any(solver.activity[v] > 0 for v in free)
+            return got
+
+        solver._pick = pick
+        model = run_to_answer(solver)
+        if model is not None:
+            assert cnf_satisfied(cnf.clauses, model)
+    assert picks >= 900 and ranked >= 500  # activities, not indices, decide most picks
+
+
+def test_activity_rescale_keeps_every_answer():
+    """A bump past 1e100 scales every activity down and rebuilds the heap.
+    Started at 5e99, a variable's second or third bump gets there (1e98 does
+    not on these small instances), so the rescale runs mid-search."""
+    rng = random.Random(4)
+    rescaled = 0
+    for _ in range(50):  # the instances of test_solver_agrees_with_brute_force
+        nv = rng.randint(4, 10)
+        cnf = random_3cnf(rng, nv, rng.randint(nv, 5 * nv))
+        solver = prop._Cdcl(cnf, None)
+        solver.act_inc = 5e99
+        model = run_to_answer(solver)
+        assert (model is not None) == bool(cnf_models_brute(nv, cnf.clauses))
+        if model is not None:
+            assert cnf_satisfied(cnf.clauses, model)
+        rescaled += solver.act_inc < 5e99
+    assert rescaled >= 10
+
+
 def messy_cnf(rng, var_count, clause_count):
     """Raw clauses as a careless encoder might emit them: repeated literals,
     tautologies, duplicate clauses and units, over vars 1..var_count."""
