@@ -6,7 +6,7 @@ symbol index or None (epsilon).  Both-epsilon transitions are silent moves.
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, as_nfa, check_word, from_words, _moves, _trim_reachable
+from .automata import Alphabet, Nfa, as_nfa, from_words, _moves, _trim_reachable
 from .errors import AlphabetMismatchError
 
 
@@ -46,38 +46,6 @@ def _out_edges(t):
     for (p, a, b, q) in t.transitions:
         table.setdefault(p, []).append((a, b, q))
     return table
-
-
-def accepts_pair(t, u, v):
-    """True iff some run consumes u on in-labels and v on out-labels."""
-    check_word(t.alphabet, u)
-    check_word(t.alphabet, v)
-    edges = _out_edges(t)
-    start = (t.initial, 0, 0)
-    seen = {start}
-    stack = [start]
-    while stack:
-        (q, i, j) = stack.pop()
-        if i == len(u) and j == len(v) and q in t.accepting:
-            return True
-        for (a, b, q2) in edges.get(q, ()):
-            if a is None:
-                i2 = i
-            elif i < len(u) and u[i] == a:
-                i2 = i + 1
-            else:
-                continue
-            if b is None:
-                j2 = j
-            elif j < len(v) and v[j] == b:
-                j2 = j + 1
-            else:
-                continue
-            nxt = (q2, i2, j2)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
 
 
 def invert(t):

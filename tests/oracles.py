@@ -7,7 +7,7 @@ calls the library code it is used to judge.
 
 import itertools
 
-from winset.automata import Alphabet, Dfa, Nfa, from_words
+from winset.automata import Alphabet, Dfa, Nfa, check_word, from_words
 from winset.game import RationalSafetyGame, validate_game
 from winset.relations import Transducer
 from winset.sample import Sample
@@ -72,6 +72,41 @@ def pair_accepted_brute(t, u, v):
             if step not in seen:
                 seen.add(step)
                 work.append(step)
+    return False
+
+
+def accepts_pair(t, u, v):
+    """True iff some run consumes u on in-labels and v on out-labels; the
+    reference for `image` and `invert`."""
+    check_word(t.alphabet, u)
+    check_word(t.alphabet, v)
+    edges = {}
+    for (p, a, b, q) in t.transitions:
+        edges.setdefault(p, []).append((a, b, q))
+    start = (t.initial, 0, 0)
+    seen = {start}
+    stack = [start]
+    while stack:
+        (q, i, j) = stack.pop()
+        if i == len(u) and j == len(v) and q in t.accepting:
+            return True
+        for (a, b, q2) in edges.get(q, ()):
+            if a is None:
+                i2 = i
+            elif i < len(u) and u[i] == a:
+                i2 = i + 1
+            else:
+                continue
+            if b is None:
+                j2 = j
+            elif j < len(v) and v[j] == b:
+                j2 = j + 1
+            else:
+                continue
+            nxt = (q2, i2, j2)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
     return False
 
 

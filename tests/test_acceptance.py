@@ -28,7 +28,7 @@ from winset.cli import main
 from winset.game import serialize_dfa, serialize_game
 from winset.learning import LearnOptions
 from winset.prop import solve_internal
-from winset.relations import accepts_pair, image, invert
+from winset.relations import image, invert
 from winset.rpni import learn_rpni, merge_learn
 from winset.sample import is_consistent
 from winset.satlearn import build_formula, extract_dfa
@@ -36,6 +36,7 @@ from winset.satlearn import learn as learn_sat
 from winset.teacher import Positive, query
 
 from oracles import (
+    accepts_pair,
     all_words,
     exists_consistent_dfa,
     language_upto,

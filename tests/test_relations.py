@@ -6,9 +6,9 @@ import pytest
 
 from winset.automata import Alphabet, Nfa, accepts, from_words, union
 from winset.errors import AlphabetMismatchError
-from winset.relations import Transducer, accepts_pair, image, invert, successors
+from winset.relations import Transducer, image, invert, successors
 
-from oracles import all_words, language_upto, pair_accepted_brute, random_transducer
+from oracles import accepts_pair, all_words, language_upto, pair_accepted_brute, random_transducer
 
 SEL = Alphabet(("s", "e", "l"))
 AB = Alphabet(("a", "b"))

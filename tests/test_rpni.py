@@ -5,16 +5,22 @@ import random
 
 import pytest
 
-from winset.automata import Alphabet
-from winset.benchmarks import halfline_game
+from winset.automata import Alphabet, from_words
+from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
 from winset.errors import ContradictionError, ExternalSolverError, InfiniteBranchingError
 from winset.learning import LearnOptions
 from winset.prop import solve_internal
-from winset.rpni import learn_rpni, merge_learn
+from winset.rpni import _fold, _singletons, _undo, learn_rpni, merge_learn
 from winset.sample import is_consistent
 from winset.teacher import query
 
-from oracles import dfa_accepts_brute, infinitely_branching_game, make_sample, random_sample_parts
+from oracles import (
+    dfa_accepts_brute,
+    infinitely_branching_game,
+    make_sample,
+    random_sample_parts,
+    random_word,
+)
 
 AB = Alphabet(("a", "b"))
 SEL = Alphabet(("s", "e", "l"))
@@ -116,6 +122,75 @@ def test_on_merge_reports_the_real_consistency_verdict():
     assert attempts and any(attempts) and not all(attempts)
     ok, _ = is_consistent(d, s)
     assert ok
+
+
+def test_on_merge_verdicts_with_implications():
+    # every verdict, taken on the partition, must be is_consistent's on the
+    # trial quotient; and listening must not change what is learned
+    rng = random.Random(2024)
+    checked = attempts_total = by_implication = 0
+    while checked < 100:
+        pos, neg, ex, uni = random_sample_parts(rng, max_len=4)
+        if not ex and not uni:
+            continue
+        s = make_sample(AB, pos, neg, ex, uni)
+        attempts = []
+        try:
+            d = merge_learn(s, on_merge=lambda cand, ok: attempts.append((cand, ok)))
+        except ContradictionError:
+            continue
+        checked += 1
+        for cand, ok in attempts:
+            real, witness = is_consistent(cand, s)
+            assert ok == real, (s, witness)
+            by_implication += witness is not None and witness[0] in ("ex", "uni")
+        attempts_total += len(attempts)
+        assert merge_learn(s) == d
+    assert attempts_total > 150 and by_implication > 20
+
+
+def test_undo_restores_the_partition():
+    rng = random.Random(4242)
+    cascades = 0
+    for _ in range(200):
+        words = [random_word(rng, 2, 5) for _ in range(rng.randint(1, 6))]
+        parent, succ, accs = _singletons(from_words(AB, words))
+        for _ in range(rng.randint(0, 2)):  # some merges kept, as merging goes
+            roots = [x for x in range(len(parent)) if parent[x] == x]
+            if len(roots) > 1:
+                _fold(parent, succ, accs, *rng.sample(roots, 2))
+        roots = [x for x in range(len(parent)) if parent[x] == x]
+        if len(roots) < 2:
+            continue
+        before = (parent[:], [list(m.items()) for m in succ], accs[:])
+        log = _fold(parent, succ, accs, *rng.sample(roots, 2))
+        assert log
+        cascades += len(log) > 1
+        _undo(parent, succ, accs, log)
+        assert (parent, [list(m.items()) for m in succ], accs) == before
+    assert cascades > 20
+
+
+# Reference outputs, taken when every trial merge was judged on a built
+# quotient DFA: a rollback that leaves a stray move or link behind can still
+# return a consistent DFA, but not these.
+PINNED = [
+    ("evasion", {"start": 4}, 38, (1, 28, 4, 4),
+     ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
+     {5}),
+    ("interval", {"k": 2, "kprime": 10}, 15, (1, 9, 1, 3),
+     ((1, 2, 3), (3, 3, 4), (3, 3, 5), (3, 3, 3), (3, 3, 6), (3, 3, 7), (3, 3, 8),
+      (3, 3, 8), (3, 3, 3)),
+     {6, 8}),
+]
+
+
+@pytest.mark.parametrize("name, params, iterations, sizes, delta, accepting", PINNED)
+def test_learn_rpni_pinned_outputs(name, params, iterations, sizes, delta, accepting):
+    res = learn_rpni(generate_benchmark(BenchmarkSpec(name, params)), LearnOptions(timeout=60))
+    assert res.outcome == "solved"
+    assert (res.iterations, res.sample_sizes) == (iterations, sizes)
+    assert res.dfa.delta == delta and res.dfa.accepting == accepting
 
 
 def test_classical_behavior_on_plain_words():
