@@ -5,12 +5,29 @@ Conventions used throughout the package:
   - the shortlex order compares by length first, then by declared symbol order,
     which makes every "pick an arbitrary element" deterministic;
   - NFAs are epsilon-free (only transducer labels carry epsilon);
-  - DFAs are total and have initial state 0.
+  - DFAs are total and have initial state 0;
+  - algorithms read an automaton through its move table,
+    `moves[state][symbol]`, the tuple of targets, which an Nfa or a Dfa
+    builds once, on first use.
+
+Witness and emptiness questions about intersections and differences are
+answered by one grouped breadth-first search (`shortest_word`,
+`product_word`) that walks a `Product` on the fly.  A product's operands
+are of three kinds: a Dfa, read through `delta` (or its move table, next
+to an Nfa); an Nfa, read through its move table; and the complement of an
+Nfa, determinized on demand by a `Subsets` whose rows are filled only when
+the search reaches them.
+`intersect`, `difference` and `determinize` build the same objects out in
+full.
 """
 
+import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
+from operator import contains, getitem
 
-from .errors import AlphabetMismatchError, InvalidWordError
+from .errors import AlphabetMismatchError, InvalidWordError, SolveTimeout
 
 Word = tuple
 
@@ -105,6 +122,15 @@ class Nfa:
             if not (0 <= q < n):
                 raise ValueError(f"accepting state out of range: {q}")
 
+    @cached_property
+    def moves(self):
+        """Move table, built on first use: moves[state][symbol] is the
+        sorted tuple of targets."""
+        table = [[()] * len(self.alphabet) for _ in range(self.state_count)]
+        for (p, a, q) in sorted(self.transitions):
+            table[p][a] += (q,)
+        return tuple(map(tuple, table))
+
 
 @dataclass(frozen=True)
 class Dfa:
@@ -138,6 +164,12 @@ class Dfa:
     def initial(self):
         return 0
 
+    @cached_property
+    def moves(self):
+        """The move table as an Nfa has it: moves[state][symbol] is the
+        1-tuple (delta[state][symbol],)."""
+        return tuple(tuple((q,) for q in row) for row in self.delta)
+
     def to_nfa(self):
         trans = frozenset(
             (p, a, row[a]) for p, row in enumerate(self.delta) for a in range(len(self.alphabet))
@@ -158,12 +190,116 @@ def _check_same_alphabet(*autos):
             )
 
 
-def _moves(nfa):
-    """Transition lookup (state, symbol) -> sorted tuple of targets."""
-    table = {}
-    for (p, a, q) in nfa.transitions:
-        table.setdefault((p, a), []).append(q)
-    return {k: tuple(sorted(v)) for k, v in table.items()}
+class _Rows(dict):
+    """state -> row, each row computed by `fill(state)` when first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, state):
+        row = self[state] = self.fill(state)
+        return row
+
+
+class Subsets:
+    """The subset construction of an automaton, filled one row at a time.
+
+    State i is the i-th subset reached, kept as a sorted tuple; state 0 is
+    (initial,) and the empty subset is the dead sink.  `delta[i]` (one
+    successor per symbol, as in a Dfa) is computed the first time it is
+    read, so a search pays only for the subsets it reaches and later
+    searches over the same Subsets reuse them; `moves[i]` is the same row
+    as an Nfa's move table has it.  Of the subsets reached so far,
+    `accepting` holds those that meet the automaton's accepting states and
+    `rejecting` the others.
+    """
+
+    def __init__(self, a):
+        self.alphabet = a.alphabet
+        self.initial = 0
+        self.subsets = subsets = []
+        self.accepting = accepting = set()
+        self.rejecting = rejecting = set()
+        index = {}
+        moves, final, symbols = a.moves, a.accepting, range(len(a.alphabet))
+
+        def reach(subset):
+            i = index.get(subset)
+            if i is None:
+                i = index[subset] = len(subsets)
+                subsets.append(subset)
+                (rejecting if final.isdisjoint(subset) else accepting).add(i)
+            return i
+
+        def row(i):
+            subset = subsets[i]
+            return tuple(reach(tuple(sorted({q for p in subset for q in moves[p][sym]})))
+                         for sym in symbols)
+
+        reach((a.initial,))
+        # closures over locals, not methods: no reference cycle runs through
+        # self, so the rows are freed as soon as the last reader lets go
+        self.delta = delta = _Rows(row)
+        self.moves = _Rows(lambda i: tuple(zip(delta[i])))
+
+
+class _Final:
+    """Membership test for a Product's accepting states: each component
+    lies in its operand's set, the accepting states of a positive operand
+    and the rejecting ones of a negative operand."""
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def __contains__(self, t):
+        return all(map(contains, self.sets, t))
+
+
+class _ProductRows:
+    """A Product's move table, computed on every read and kept nowhere: a
+    search reads each row once.  Deterministic operands come as `delta`
+    tables, which zip into the product's one successor per symbol."""
+
+    def __init__(self, tables, deterministic):
+        self.tables = tables
+        self.deterministic = deterministic
+
+    def __getitem__(self, t):
+        rows = map(getitem, self.tables, t)
+        if self.deterministic:
+            return tuple(zip(zip(*rows)))
+        return tuple(map(tuple, map(product, *rows)))
+
+
+class Product:
+    """The words every `positive` automaton accepts and no `negative` one
+    does, as an automaton that is walked, never built.
+
+    Its states are tuples of operand states, one per operand, positives
+    first.  Operands are Nfa, Dfa or Subsets.  A negative Nfa is
+    determinized on demand as a fresh Subsets; a negative Dfa or Subsets,
+    total and deterministic, is complemented by flipping acceptance, so a
+    Subsets shared between products (the teacher's F) keeps the rows
+    earlier searches filled.  `moves[t]` is computed when read: per
+    symbol, the tuple of successors in lexicographic order.
+    """
+
+    def __init__(self, positive, negative=()):
+        negative = [Subsets(b) if isinstance(b, Nfa) else b for b in negative]
+        operands = [*positive, *negative]
+        _check_same_alphabet(*operands)
+        self.alphabet = operands[0].alphabet
+        self.initial = tuple(a.initial for a in operands)
+        self.accepting = _Final(
+            [a.accepting for a in positive]
+            + [b.rejecting if isinstance(b, Subsets)
+               else frozenset(range(b.state_count)) - b.accepting for b in negative]
+        )
+        if all(isinstance(a, (Dfa, Subsets)) for a in operands):
+            self.moves = _ProductRows([a.delta for a in operands], True)
+        else:
+            self.moves = _ProductRows([a.moves for a in operands], False)
 
 
 def accepts(a, u):
@@ -174,59 +310,53 @@ def accepts(a, u):
         for sym in u:
             q = a.delta[q][sym]
         return q in a.accepting
-    moves = _moves(a)
+    moves = a.moves
     frontier = {a.initial}
     for sym in u:
-        frontier = {q for p in frontier for q in moves.get((p, sym), ())}
+        frontier = {q for p in frontier for q in moves[p][sym]}
         if not frontier:
             return False
     return bool(frontier & a.accepting)
 
 
 def determinize(a):
-    """Subset construction; adds a dead sink so the result is total."""
-    a = as_nfa(a)
-    moves = _moves(a)
-    nsym = len(a.alphabet)
-    start = frozenset({a.initial})
-    index = {start: 0}
-    order = [start]
-    delta = []
+    """Subset construction; adds a dead sink so the result is total.
+
+    Every row of `Subsets(a)`, filled in order, so subsets are numbered
+    breadth first.
+    """
+    d = Subsets(a)
     i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        for sym in range(nsym):
-            nxt = frozenset(q for p in subset for q in moves.get((p, sym), ()))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        delta.append(row)
+    while i < len(d.subsets):  # filling row i may reach new subsets
+        d.delta[i]
         i += 1
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & a.accepting)
-    return Dfa(a.alphabet, len(order), tuple(tuple(r) for r in delta), accepting)
+    return Dfa(a.alphabet, i, tuple(d.delta[j] for j in range(i)), frozenset(d.accepting))
 
 
-def _trim_reachable(a):
-    """Drop states unreachable from the initial state; renumber in BFS order."""
-    moves = _moves(a)
-    nsym = len(a.alphabet)
-    renum = {a.initial: 0}
+def _reachable(a):
+    """`a` cut to the states reachable from its initial state and renumbered
+    breadth first, each state's targets taken symbol by symbol in move-table
+    order: a Dfa for a Dfa, an Nfa for any other automaton (a Product
+    included, which this builds)."""
+    moves = a.moves
+    index = {a.initial: 0}
     order = [a.initial]
-    i = 0
-    while i < len(order):
-        p = order[i]
-        for sym in range(nsym):
-            for q in moves.get((p, sym), ()):
-                if q not in renum:
-                    renum[q] = len(order)
+    for p in order:  # grows while it is walked
+        for targets in moves[p]:
+            for q in targets:
+                if q not in index:
+                    index[q] = len(order)
                     order.append(q)
-        i += 1
+    accepting = frozenset(i for i, p in enumerate(order) if p in a.accepting)
+    if isinstance(a, Dfa):
+        delta = tuple(tuple(index[q] for (q,) in moves[p]) for p in order)
+        return Dfa(a.alphabet, len(order), delta, accepting)
     trans = frozenset(
-        (renum[p], sym, renum[q]) for (p, sym, q) in a.transitions if p in renum and q in renum
+        (i, sym, index[q])
+        for i, p in enumerate(order)
+        for sym, targets in enumerate(moves[p])
+        for q in targets
     )
-    accepting = frozenset(renum[q] for q in a.accepting if q in renum)
     return Nfa(a.alphabet, len(order), 0, trans, accepting)
 
 
@@ -235,52 +365,12 @@ def complement(d):
     if not isinstance(d, Dfa):
         raise TypeError("complement requires a (total) Dfa; determinize first")
     flipped = Dfa(d.alphabet, d.state_count, d.delta, frozenset(range(d.state_count)) - d.accepting)
-    return _reach_trim_dfa(flipped)
-
-
-def _reach_trim_dfa(d):
-    renum = {0: 0}
-    order = [0]
-    i = 0
-    while i < len(order):
-        p = order[i]
-        for sym in range(len(d.alphabet)):
-            q = d.delta[p][sym]
-            if q not in renum:
-                renum[q] = len(order)
-                order.append(q)
-        i += 1
-    delta = tuple(tuple(renum[d.delta[p][sym]] for sym in range(len(d.alphabet))) for p in order)
-    accepting = frozenset(renum[q] for q in d.accepting if q in renum)
-    return Dfa(d.alphabet, len(order), delta, accepting)
+    return _reachable(flipped)
 
 
 def intersect(a, b):
     """Product automaton, restricted to reachable pairs."""
-    _check_same_alphabet(a, b)
-    a, b = as_nfa(a), as_nfa(b)
-    ma, mb = _moves(a), _moves(b)
-    nsym = len(a.alphabet)
-    start = (a.initial, b.initial)
-    index = {start: 0}
-    order = [start]
-    trans = set()
-    i = 0
-    while i < len(order):
-        (p1, p2) = order[i]
-        for sym in range(nsym):
-            for q1 in ma.get((p1, sym), ()):
-                for q2 in mb.get((p2, sym), ()):
-                    tgt = (q1, q2)
-                    if tgt not in index:
-                        index[tgt] = len(order)
-                        order.append(tgt)
-                    trans.add((i, sym, index[tgt]))
-        i += 1
-    accepting = frozenset(
-        i for i, (p1, p2) in enumerate(order) if p1 in a.accepting and p2 in b.accepting
-    )
-    return Nfa(a.alphabet, len(order), 0, frozenset(trans), accepting)
+    return _reachable(Product([a, b]))
 
 
 def union(a, b):
@@ -303,18 +393,40 @@ def union(a, b):
     accepting |= {q + off_a for q in a.accepting}
     accepting |= {q + off_b for q in b.accepting}
     out = Nfa(a.alphabet, 1 + a.state_count + b.state_count, 0, frozenset(trans), frozenset(accepting))
-    return _trim_reachable(out)
+    return _reachable(out)
 
 
 def difference(a, b):
-    """L(a) \\ L(b), via intersect(a, complement(determinize(b)))."""
-    _check_same_alphabet(a, b)
-    bd = b if isinstance(b, Dfa) else determinize(b)
-    return intersect(a, complement(bd))
+    """L(a) \\ L(b): the product of a with the complement of b, built."""
+    return _reachable(Product([a], [b]))
 
 
 def shortest_word(a):
     """Shortlex-least accepted word, or None for the empty language.
+
+    `a` is an Nfa, a Dfa or a Subsets.  The search reads only its initial
+    state, its move table (`moves[state][symbol]`, the targets, built once
+    per automaton) and membership in its accepting states, so a Subsets is
+    filled only as far as the search reaches.  Products go through
+    `product_word`, which runs the same search.
+    """
+    return _least_word(a, None)
+
+
+def product_word(positive, negative=(), deadline=None):
+    """Shortlex-least word that every `positive` automaton accepts and no
+    `negative` one does, or None.
+
+    The search of `shortest_word` over `Product(positive, negative)`, which
+    is walked as far as the search reaches and never built.  Past
+    `deadline` (a time.monotonic() value, read every 256 groups) it raises
+    SolveTimeout.
+    """
+    return _least_word(Product(positive, negative), deadline)
+
+
+def _least_word(a, deadline):
+    """The search behind shortest_word and product_word.
 
     One forward breadth-first pass over groups of states.  A group holds the
     states whose shortlex-least access word is the group's word.  Groups are
@@ -330,32 +442,35 @@ def shortest_word(a):
     3 -a-> 4 and 4 accepting, the states 2 and 3 share the word b; a search
     over single states would expand 2 before 3 and answer b b, not b a.
     """
-    a = as_nfa(a)
-    if not a.accepting:
-        return None
-    if a.initial in a.accepting:
+    moves, accepting = a.moves, a.accepting
+    if a.initial in accepting:
         return ()
-    moves = {}  # unlike _moves, unsorted: groups are sets, so no order is needed
-    for (p, sym, q) in a.transitions:
-        moves.setdefault((p, sym), []).append(q)
-    nsym = len(a.alphabet)
     seen = {a.initial}
-    groups = [{a.initial}]
+    groups = [(a.initial,)]
     parent = [None]  # parent[i] = (group index, symbol) that reached group i
     i = 0
     while i < len(groups):
-        for sym in range(nsym):
-            nxt = {q for p in groups[i] for q in moves.get((p, sym), ()) if q not in seen}
+        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
+            raise SolveTimeout("the shortest-word search hit the deadline")
+        group = groups[i]
+        if len(group) == 1:  # the rule below, without copying the one row
+            reached = moves[group[0]]
+        else:
+            reached = [set().union(*col) for col in zip(*[moves[p] for p in group])]
+        for sym, targets in enumerate(reached):
+            if not targets:
+                continue
+            nxt = set(targets) - seen
             if not nxt:
                 continue
-            if not nxt.isdisjoint(a.accepting):
+            if any(map(accepting.__contains__, nxt)):
                 word = [sym]
                 while parent[i] is not None:
                     i, sym = parent[i]
                     word.append(sym)
                 return tuple(reversed(word))
             seen |= nxt
-            groups.append(nxt)
+            groups.append(tuple(nxt))
             parent.append((i, sym))
         i += 1
     return None
@@ -419,7 +534,7 @@ def finite_words(a):
 
 def minimize(d):
     """Minimum-state total DFA, states renumbered by BFS so output is canonical."""
-    d = _reach_trim_dfa(d)
+    d = _reachable(d)
     n = d.state_count
     nsym = len(d.alphabet)
     block = [1 if q in d.accepting else 0 for q in range(n)]
@@ -441,13 +556,13 @@ def minimize(d):
         tuple(block[d.delta[rep[b]][sym]] for sym in range(nsym)) for b in range(len(rep))
     )
     accepting = frozenset(block[q] for q in d.accepting)
-    return _reach_trim_dfa(Dfa(d.alphabet, len(rep), delta, accepting))
+    return _reachable(Dfa(d.alphabet, len(rep), delta, accepting))
 
 
 def trim(a):
     """Drop states not on an accepting path; the initial state is always kept."""
     a = as_nfa(a)
-    live = _coreachable(a) | {a.initial}  # _trim_reachable drops the rest
+    live = _coreachable(a) | {a.initial}  # _reachable drops the rest
     kept = Nfa(
         a.alphabet,
         a.state_count,
@@ -455,7 +570,7 @@ def trim(a):
         frozenset((p, s, q) for (p, s, q) in a.transitions if p in live and q in live),
         frozenset(q for q in a.accepting if q in live),
     )
-    return _trim_reachable(kept)
+    return _reachable(kept)
 
 
 def from_words(alphabet, words):

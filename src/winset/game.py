@@ -23,7 +23,7 @@ File format (UTF-8, `#` starts a comment):
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, difference, intersect, shortest_word
+from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, product_word, shortest_word
 from .errors import GameFormatError, InvalidWordError, InvariantViolation
 from .relations import Transducer
 
@@ -48,10 +48,10 @@ class RationalSafetyGame:
 
 def validate_game(g):
     """Enforce the game invariants, naming the violated one with a witness word."""
-    w = shortest_word(intersect(g.v0, g.v1))
+    w = product_word([g.v0, g.v1])
     if w is not None:
         raise InvariantViolation("L(v0) and L(v1) disjoint", witness=g.alphabet.text(w))
-    w = shortest_word(difference(g.initial, g.safe))
+    w = product_word([g.initial], [g.safe])
     if w is not None:
         raise InvariantViolation("I included in F", witness=g.alphabet.text(w))
     if shortest_word(g.v0) is None:

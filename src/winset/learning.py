@@ -5,7 +5,7 @@ teacher, and either finish or grow the sample with the counterexample.
 Each learner's conjecture starts with `sample.check_contradiction`, the one
 solve of the sample's chi CNF per iteration; its ContradictionError ends
 the run as `contradiction`.  Everything is wall-clock bounded; the solver
-backends check the same deadline cooperatively.
+backends and the teacher check the same deadline cooperatively.
 """
 
 import time
@@ -80,7 +80,7 @@ def run_cegis(game, conjecture, tag, opts=None):
             d = conjecture(s, solver, deadline)
             solve_time += time.monotonic() - t0
             t0 = time.monotonic()
-            cex = query(compiled, d)
+            cex = query(compiled, d, deadline)
             teacher_time += time.monotonic() - t0
             if cex is None:
                 return result("solved", d)

@@ -6,7 +6,7 @@ symbol index or None (epsilon).  Both-epsilon transitions are silent moves.
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, as_nfa, from_words, _moves, _trim_reachable
+from .automata import Alphabet, Nfa, from_words, _reachable
 from .errors import AlphabetMismatchError
 
 
@@ -59,14 +59,15 @@ def image(t, x):
 
     Product of x with the input track (eps in-labels let x stand still),
     projected to out-labels; out-eps moves are eliminated eagerly so the
-    result is an ordinary eps-free Nfa, trimmed to reachable states.
+    result is an ordinary eps-free Nfa, trimmed to reachable states.  `x`
+    is an Nfa, a Dfa or an automata.Product, read through its move table,
+    so a product is walked only where the transducer takes it.
     """
-    x = as_nfa(x)
     if x.alphabet != t.alphabet:
         raise AlphabetMismatchError(
             f"mixed alphabets: {t.alphabet.symbols} vs {x.alphabet.symbols}"
         )
-    xmoves = _moves(x)
+    xmoves = x.moves
     edges = _out_edges(t)
     start = (x.initial, t.initial)
     index = {start: 0}
@@ -75,11 +76,12 @@ def image(t, x):
     i = 0
     while i < len(order):
         (p, q) = order[i]
+        xrow = xmoves[p]  # read once: a product computes its rows on every read
         for (a, b, q2) in edges.get(q, ()):
             if a is None:
                 targets = (p,)
             else:
-                targets = xmoves.get((p, a), ())
+                targets = xrow[a]
             for p2 in targets:
                 key = (p2, q2)
                 if key not in index:
@@ -127,7 +129,7 @@ def image(t, x):
             for (b, s2) in real.get(member, ()):
                 trans.add((s, b, s2))
     out = Nfa(t.alphabet, n, index[start], frozenset(trans), frozenset(acc2))
-    return _trim_reachable(out)
+    return _reachable(out)
 
 
 def successors(t, u):

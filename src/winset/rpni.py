@@ -17,7 +17,7 @@ partition, and once per trial only for an `on_merge` listener.
 
 import time
 
-from .automata import Dfa, _reach_trim_dfa, from_words
+from .automata import Dfa, _reachable, from_words
 from .errors import InfiniteBranchingError, SolveTimeout
 from .learning import run_cegis
 from .sample import check_contradiction, finite_words
@@ -133,7 +133,7 @@ def _quotient_dfa(alphabet, parent, succ, accs):
                           for sym in range(nsym)))
     rows.append((sink,) * nsym)  # unreachable when every move is there; trimmed
     accepting = frozenset(index[r] for r in roots if accs[r])
-    return _reach_trim_dfa(Dfa(alphabet, len(rows), tuple(rows), accepting))
+    return _reachable(Dfa(alphabet, len(rows), tuple(rows), accepting))
 
 
 def merge_learn(s, solver=None, deadline=None, on_merge=None):

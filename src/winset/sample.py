@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import automata
-from .automata import accepts, complement, intersect, shortest_word, shortlex_key
+from .automata import accepts, product_word, shortlex_key
 from .errors import ContradictionError, ExternalSolverError, InternalConsistencyError
 from .prop import CnfInstance, solve_internal
 from .teacher import Existential, Negative, Positive, Universal
@@ -67,7 +67,6 @@ def is_consistent(d, s):
     for u in s.neg:
         if accepts(d, u):
             return False, ("neg", u)
-    dbar = None
     for (u, a) in s.ex:
         if not accepts(d, u):
             continue
@@ -75,7 +74,7 @@ def is_consistent(d, s):
         if words is not None:
             if not any(accepts(d, v) for v in words):
                 return False, ("ex", (u, a))
-        elif shortest_word(intersect(d, a)) is None:
+        elif product_word([d, a]) is None:
             return False, ("ex", (u, a))
     for (u, a) in s.uni:
         if not accepts(d, u):
@@ -84,11 +83,8 @@ def is_consistent(d, s):
         if words is not None:
             if not all(accepts(d, v) for v in words):
                 return False, ("uni", (u, a))
-        else:
-            if dbar is None:
-                dbar = complement(d)
-            if shortest_word(intersect(a, dbar)) is not None:
-                return False, ("uni", (u, a))
+        elif product_word([a], [d]) is not None:
+            return False, ("uni", (u, a))
     return True, None
 
 

@@ -12,28 +12,26 @@ Four checks, run in a fixed order, each phrased as automata algebra:
 Every returned witness is the shortlex-least word of the violating language,
 so identical inputs always produce identical counterexamples.
 
+Each check is one shortlex-least-word search over a product of the
+conjecture with game automata (`automata.product_word`); the product is
+walked as far as the search goes and never built.
+
 The checks take a compiled game (`compile_game`): the game together with
-the parts of the checks that depend only on the game, built once per run
-rather than once per query.  They are the complement of F as an NFA (one
-determinization of `safe`, which can have thousands of states), the
-inverted edge transducer, and V0 ∪ V1.  `query` accepts a plain game too
-and compiles it itself; `run_cegis` compiles once before its loop.
+the parts of the checks that depend only on the game, made once per run
+rather than once per query.  They are F as a `Subsets`, the subset
+construction of `safe` filled on demand, whose rows check 2 reads
+complemented and every later query reuses; the inverted edge transducer;
+and V0 ∪ V1.  `query` accepts a plain game too and compiles it itself;
+`run_cegis` compiles once before its loop and passes its deadline, which
+`query` reads between the checks and the searches every 256 groups, and
+past which it raises SolveTimeout.
 """
 
+import time
 from dataclasses import dataclass
 
-from .automata import (
-    Nfa,
-    as_nfa,
-    complement,
-    determinize,
-    difference,
-    intersect,
-    minimize,
-    shortest_word,
-    trim,
-    union,
-)
+from .automata import Nfa, Product, Subsets, determinize, minimize, product_word, trim, union
+from .errors import SolveTimeout
 from .game import RationalSafetyGame
 from .relations import Transducer, image, invert, successors
 
@@ -43,7 +41,7 @@ class CompiledGame:
     """A game with the game-only parts of the four checks built once."""
 
     game: RationalSafetyGame
-    unsafe: Nfa  # complement of F
+    safe: Subsets  # F, determinized on demand; its rows serve every query
     back_edges: Transducer  # the inverse edge relation
     vertices: Nfa  # V0 ∪ V1
 
@@ -54,7 +52,7 @@ def compile_game(g):
         return g
     return CompiledGame(
         game=g,
-        unsafe=as_nfa(complement(determinize(g.safe))),
+        safe=Subsets(g.safe),
         back_edges=invert(g.edges),
         vertices=union(g.v0, g.v1),
     )
@@ -96,55 +94,64 @@ def normalize_consequent(a):
     return trim(minimize(determinize(a)))
 
 
-def check_initial(g, c):
+def check_initial(g, c, deadline=None):
     """Shortlex-least u in I \\ L(c), or None."""
-    return shortest_word(difference(g.game.initial, c))
+    return product_word([g.game.initial], [c], deadline)
 
 
-def check_safe(g, c):
+def check_safe(g, c, deadline=None):
     """Shortlex-least u in L(c) \\ F, or None."""
-    return shortest_word(intersect(as_nfa(c), g.unsafe))
+    return product_word([c], [g.safe], deadline)
 
 
-def check_existential(g, c):
+def check_existential(g, c, deadline=None):
     """Least u in L(c) ∩ V0 all of whose successors avoid L(c), with E({u})."""
-    has_succ_in_c = image(g.back_edges, as_nfa(c))
-    stuck = intersect(as_nfa(c), difference(g.game.v0, has_succ_in_c))
-    u = shortest_word(stuck)
+    has_succ_in_c = image(g.back_edges, c)
+    u = product_word([c, g.game.v0], [has_succ_in_c], deadline)
     if u is None:
         return None
     return u, normalize_consequent(successors(g.game.edges, u))
 
 
-def check_universal(g, c):
+def check_universal(g, c, deadline=None):
     """Least u in L(c) ∩ V1 with some successor outside L(c), with E({u})."""
-    outside = difference(g.vertices, c)
-    can_escape = image(g.back_edges, outside)
-    bad = intersect(intersect(g.game.v1, as_nfa(c)), can_escape)
-    u = shortest_word(bad)
+    can_escape = image(g.back_edges, Product([g.vertices], [c]))
+    u = product_word([g.game.v1, c, can_escape], deadline=deadline)
     if u is None:
         return None
     return u, normalize_consequent(successors(g.game.edges, u))
 
 
-def query(g, c):
+def query(g, c, deadline=None):
     """Run checks 1,2,3,4; return the first counterexample or None for "yes".
 
     None means L(c) really is a winning set: it covers I, stays within F, and
     is existentially/universally closed under the edge relation.  `g` is a
-    game or a CompiledGame.
+    game or a CompiledGame.  Past `deadline` (a time.monotonic() value,
+    read between the checks and inside their searches) it raises
+    SolveTimeout.
     """
     g = compile_game(g)
-    u = check_initial(g, c)
+    _before(deadline)
+    u = check_initial(g, c, deadline)
     if u is not None:
         return Positive(u)
-    u = check_safe(g, c)
+    _before(deadline)
+    u = check_safe(g, c, deadline)
     if u is not None:
         return Negative(u)
-    hit = check_existential(g, c)
+    _before(deadline)
+    hit = check_existential(g, c, deadline)
     if hit is not None:
         return Existential(*hit)
-    hit = check_universal(g, c)
+    _before(deadline)
+    hit = check_universal(g, c, deadline)
     if hit is not None:
         return Universal(*hit)
     return None
+
+
+def _before(deadline):
+    """Raise SolveTimeout when the next check would start past `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeout("the teacher hit the deadline")

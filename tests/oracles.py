@@ -252,6 +252,38 @@ def random_nfa(rng, alphabet, max_states=4):
     )
 
 
+def random_sparse_nfa(rng, alphabet, max_states=5):
+    """Random NFA with one accepting state, so that its least words run
+    longer than random_nfa's and more of them pass through states that
+    share an access word."""
+    n = rng.randint(1, max_states)
+    transitions = {(src, sym, rng.randrange(n))
+                   for src in range(n) for sym in range(len(alphabet.symbols))
+                   for _ in range(rng.randint(0, 2))}
+    return Nfa(alphabet, n, 0, frozenset(transitions), frozenset({rng.randrange(n)}))
+
+
+def random_dfa(rng, alphabet, max_states=3):
+    """Random little total DFA."""
+    n = rng.randint(1, max_states)
+    delta = tuple(tuple(rng.randrange(n) for _ in alphabet.symbols) for _ in range(n))
+    return Dfa(alphabet, n, delta, frozenset(q for q in range(n) if rng.random() < 0.5))
+
+
+def product_word_brute(positive, negative, max_len):
+    """The shortlex-least word of length <= max_len that every positive
+    automaton accepts and no negative one does, by trying every word in
+    shortlex order; None when no word that short qualifies."""
+
+    def member(a, w):
+        return dfa_accepts_brute(a, w) if isinstance(a, Dfa) else nfa_accepts_brute(a, w)
+
+    for w in all_words(len(positive[0].alphabet.symbols), max_len):
+        if all(member(a, w) for a in positive) and not any(member(b, w) for b in negative):
+            return w
+    return None
+
+
 def random_sample_parts(rng, symbol_count=2, max_len=3, max_consequent=2):
     """Random implication sample as plain tuples (pos, neg, ex, uni)."""
 

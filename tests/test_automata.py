@@ -16,6 +16,7 @@ from winset.automata import (
     from_words,
     intersect,
     minimize,
+    product_word,
     shortest_word,
     to_dot,
     trim,
@@ -23,7 +24,15 @@ from winset.automata import (
 )
 from winset.errors import InvalidWordError
 
-from oracles import all_words, language_upto, nfa_accepts_brute, random_nfa
+from oracles import (
+    all_words,
+    language_upto,
+    nfa_accepts_brute,
+    product_word_brute,
+    random_dfa,
+    random_nfa,
+    random_sparse_nfa,
+)
 
 AB = Alphabet(("a", "b"))
 SEL = Alphabet(("s", "e", "l"))
@@ -345,3 +354,58 @@ def test_to_dot_mentions_states():
     text = to_dot(determinize(v0_nfa()))
     assert "digraph" in text
     assert "doublecircle" in text
+
+
+# --------------------------------------------------------- product search
+
+
+def test_product_word_breaks_ties_between_product_states_with_one_access_word():
+    # shortest_word's tie case, inside products: 2 and 3 share the word b,
+    # and so do the product states they form with the other operands
+    tie = Nfa(AB, 5, 0, frozenset({(0, 1, 2), (0, 1, 3), (2, 1, 4), (3, 0, 4)}), frozenset({4}))
+    anything = Nfa(AB, 2, 0, frozenset((p, s, q) for p in (0, 1) for s in (0, 1) for q in (0, 1)),
+                   frozenset({0, 1}))
+    one_state = Dfa(AB, 1, ((0, 0),), frozenset({0}))
+    assert product_word([tie, anything]) == AB.word("b a")
+    assert product_word([anything, tie, one_state]) == AB.word("b a")
+    assert product_word([tie], [from_words(AB, [AB.word("b b")])]) == AB.word("b a")
+    assert product_word([tie, anything], [from_words(AB, [AB.word("b a")])]) == AB.word("b b")
+    assert product_word([anything], [tie]) == ()
+
+
+def test_product_word_matches_built_products_and_brute_force():
+    # Random products of two or three operands (NFAs and DFAs, negated
+    # NFAs determinized on demand) over one to three symbols, against the
+    # built product and against trying every word up to a length cap.
+    rng = random.Random(41)
+    alphabets = (Alphabet(("a",)), AB, Alphabet(("a", "b", "c")))
+    caps = (12, 7, 4)  # longest brute-force word per alphabet size
+    exact = 0
+    for trial in range(1500):
+        alphabet, cap = alphabets[trial % 3], caps[trial % 3]
+        count = 2 + trial % 2
+        operands = [random_sparse_nfa(rng, alphabet) if rng.random() < 0.7
+                    else random_dfa(rng, alphabet) for _ in range(count)]
+        cut = rng.randint(1, count)
+        positive, negative = operands[:cut], operands[cut:]
+        got = product_word(positive, negative)
+        built = positive[0]
+        for a in positive[1:]:
+            built = intersect(built, a)
+        for b in negative:
+            built = difference(built, b)
+        assert got == shortest_word(built), (positive, negative)
+        brute = product_word_brute(positive, negative, cap)
+        # a least word walks a simple path of the product of the positive
+        # operands with the subset constructions of the negative ones
+        bound = 1
+        for a in positive:
+            bound *= a.state_count
+        for b in negative:
+            bound *= b.state_count if isinstance(b, Dfa) else 2 ** b.state_count
+        if brute is not None or bound <= cap:
+            exact += 1
+            assert got == brute, (positive, negative)
+        else:
+            assert got is None or len(got) > cap, (positive, negative)
+    assert exact > 900

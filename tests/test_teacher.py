@@ -7,6 +7,7 @@ query seeded random conjectures on the paper games.
 """
 
 import random
+import time
 
 from winset import learning, teacher
 from winset.automata import (
@@ -22,6 +23,7 @@ from winset.automata import (
     union,
 )
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
+from winset.learning import LearnOptions, run_cegis
 from winset.rpni import learn_rpni
 from winset.satlearn import learn
 from winset.teacher import (
@@ -223,3 +225,20 @@ def test_run_cegis_compiles_the_game_once(monkeypatch):
         res = run(G)
         assert res.outcome == "solved" and res.iterations > 1
         assert compiled == [G]
+
+
+def test_a_deadline_stops_the_teacher_inside_a_check():
+    # check_safe walks s l^n up to n = k'+1 before it meets the unsafe word
+    # s l^(k'+1), so with a conjecture that costs nothing the teacher is the
+    # slow layer
+    kprime = 20000
+    g = generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": kprime}))
+    c = dfa_of(tag_tail("s", 1))
+    res = run_cegis(g, lambda s, solver, deadline: c, "fixed", LearnOptions(timeout=0.01))
+    assert res.outcome == "timeout" and res.iterations == 1
+    t0 = time.monotonic()
+    cex = query(g, c)
+    full = time.monotonic() - t0
+    assert cex == Negative(W("s" + " l" * (kprime + 1)))
+    assert res.wall_time < min(0.01 + 0.25, full / 2)
+    assert query(g, c, deadline=time.monotonic() + 3600) == cex
