@@ -12,32 +12,29 @@ first-UIP learning, phase saving, Luby restarts); it is fully deterministic
 and takes clauses as they come: repeated literals, tautologies and duplicate
 clauses cost time but never change the answer.  An external solver can be
 plugged in through the DIMACS text format; every model it returns is checked
-against the clauses, while its UNSAT verdict is taken on trust here
-(`sample.check_contradiction` re-proves the one that would end a run as a
-contradiction).
+against the clauses, while its UNSAT verdict is taken on trust here (its
+callers in `sample` and `satlearn` re-prove the ones they act on).
+
+The internal solver is incremental.  It stays on the instance it solved,
+and a later call on the same instance, after clauses were appended and
+var_count raised, only loads what was appended.  It loads at level 0: the
+solver backtracks there first, drops a new clause that a level-0 value
+satisfies and leaves out its literals that one falsifies.  Learned
+clauses, activities and saved phases carry over, and an instance once
+proved UNSAT answers None at once.
 
 Inside the CDCL solver, per-literal state lives in lists indexed by the
 literal itself: `value[lit]` and `watches[lit]` have 2*var_count+1 slots,
 and a negative literal -v falls in the upper half, so `value[-v]` is the
-value of -v (an assignment writes both polarities).  A watch list holds the
-clause lists themselves, and a clause that forces a literal is that
-literal's `reason`.  The decision heap keeps one live entry
-(-activity[v], v) for each unassigned variable, plus stale entries of
-lower activity that are dropped when popped; `queued[v]` says that v's live
-entry is in the heap, so backtracking pushes only the variables whose live
-entry was popped.  A decision therefore takes the unassigned variable with
-the highest activity, ties going to the lowest index.
-
-A CNF may carry an optional `symmetry` block: clauses over further
-variables that are satisfiable together with the main clauses whenever the
-main clauses are satisfiable alone, so UNSAT with the block proves UNSAT
-without it.  The internal backend runs the plain search on the main clauses
-first; a call that ends before its first restart never looks at the block.
-After a restart the plain search alternates, one restart interval each,
-with a second search on the main clauses plus the block, and the call ends
-as soon as either search proves UNSAT.  A model always comes from the plain search, so the answers are
-exactly those of the plain search alone.  The external backend ignores the
-block.
+value of -v (an assignment writes both polarities; new variables are
+slotted in between the halves).  A watch list holds the clause lists
+themselves, and a clause that forces a literal is that literal's `reason`.
+The decision heap keeps one live entry (-activity[v], v) for each
+unassigned variable, plus stale entries of lower activity that are dropped
+when popped; `queued[v]` says that v's live entry is in the heap, so
+backtracking pushes only the variables whose live entry was popped.  A
+decision therefore takes the unassigned variable with the highest
+activity, ties going to the lowest index.
 """
 
 import heapq
@@ -54,10 +51,8 @@ from .errors import ExternalSolverError, SolveTimeout
 class CnfInstance:
     var_count: int
     clauses: list = field(default_factory=list)
-    # Optional extra clauses (symmetry breaking) over further variables,
-    # satisfiable together with `clauses` whenever `clauses` alone are; a
-    # CnfInstance whose var_count also counts the further variables.
-    symmetry: "CnfInstance | None" = None
+    # the internal solver left on these clauses by `solve_internal`
+    solver: "_Cdcl | None" = field(default=None, init=False, repr=False, compare=False)
 
 
 def falsified_clause(cnf, model):
@@ -84,36 +79,72 @@ def _luby(i):
 
 
 class _Cdcl:
-    def __init__(self, cnf, deadline):
-        nv = self.nv = cnf.var_count
-        self.deadline = deadline
+    def __init__(self):
+        self.nv = self.loaded = 0  # variables, and clauses of the instance, taken in
         # indexed by literal: value[-v] (in the upper half) is the value of -v
-        self.value = [None] * (2 * nv + 1)
-        self.phase = [False] * (nv + 1)
-        self.level = [0] * (nv + 1)
-        self.reason = [None] * (nv + 1)  # the clause that forced v, or None
-        self.activity = [0.0] * (nv + 1)
+        self.value = [None]
+        self.watches = [[]]
+        self.phase = [False]
+        self.level = [0]
+        self.reason = [None]  # the clause that forced v, or None
+        self.activity = [0.0]
         self.act_inc = 1.0
-        self.seen = [False] * (nv + 1)  # scratch for _analyze, all False between calls
-        self.trail = []
-        self.trail_lim = []
-        self.qhead = 0
+        self.seen = [False]  # scratch for _analyze, all False between calls
+        self.trail, self.trail_lim, self.qhead = [], [], 0
         # one live entry (-activity[v], v) per queued v, plus stale ones
-        self.heap = [(0.0, v) for v in range(1, nv + 1)]
-        self.queued = [True] * (nv + 1)
-        self.units = []
+        self.heap = []
+        self.queued = [False]
         self.ok = True
-        watches = self.watches = [[] for _ in range(2 * nv + 1)]
-        for raw in cnf.clauses:
-            if len(raw) > 1:
-                cl = list(raw)  # a copy: watching reorders it
-                watches[cl[0]].append(cl)
-                watches[cl[1]].append(cl)
-            elif raw:
-                self.units.append(raw[0])
+
+    def _grow(self, nv):
+        """Add variables up to nv, unassigned, each with a live heap entry."""
+        old, extra = self.nv, nv - self.nv
+        self.value[old + 1:old + 1] = [None] * (2 * extra)
+        self.watches[old + 1:old + 1] = [[] for _ in range(2 * extra)]
+        self.phase += [False] * extra
+        self.level += [0] * extra
+        self.reason += [None] * extra
+        self.activity += [0.0] * extra
+        self.seen += [False] * extra
+        self.queued += [True] * extra
+        # every entry there sorts below (0.0, v), so these keep it a heap
+        self.heap += [(0.0, v) for v in range(old + 1, nv + 1)]
+        self.nv = nv
+
+    def _load(self, clauses):
+        """Add clauses at level 0, simplified against its values."""
+        value = self.value
+        watches = self.watches
+        for raw in clauses:
+            lits = []
+            for lit in raw:
+                val = value[lit]
+                if val is True:
+                    break
+                if val is None:
+                    lits.append(lit)
             else:
-                self.ok = False
-                return
+                if len(lits) > 1:
+                    watches[lits[0]].append(lits)
+                    watches[lits[1]].append(lits)
+                elif lits:
+                    self._enqueue(lits[0], None)
+                else:
+                    self.ok = False
+                    return
+
+    def solve(self, cnf, deadline):
+        """Load the clauses appended to `cnf` since the last call and search
+        on; the model (var -> bool), or None when unsatisfiable."""
+        self.deadline = deadline
+        if self.trail_lim:
+            self._backtrack(0)
+        if cnf.var_count > self.nv:
+            self._grow(cnf.var_count)
+        if self.ok:
+            self._load(cnf.clauses[self.loaded:])
+        self.loaded = len(cnf.clauses)
+        return self._search() if self.ok else None
 
     def _enqueue(self, lit, reason):
         v = abs(lit)
@@ -262,17 +293,8 @@ class _Cdcl:
                     return v
         return None
 
-    def search(self):
-        """The CDCL loop as a generator: it yields after each Luby restart and
-        returns the model (var -> bool), or None when unsatisfiable."""
-        if not self.ok:
-            return None
+    def _search(self):
         value = self.value
-        for lit in self.units:
-            if value[lit] is False:
-                return None
-            if value[lit] is None:
-                self._enqueue(lit, None)
         watches = self.watches
         conflicts = 0
         restart_round = 0
@@ -286,6 +308,7 @@ class _Cdcl:
             confl = self._propagate()
             if confl is not None:
                 if not self.trail_lim:
+                    self.ok = False
                     return None
                 learned, back = self._analyze(confl)
                 self._backtrack(back)
@@ -304,7 +327,6 @@ class _Cdcl:
                     ceiling = 64 * _luby(restart_round)
                     if self.trail_lim:
                         self._backtrack(0)
-                    yield
             else:
                 v = self._pick()
                 if v is None:
@@ -313,40 +335,18 @@ class _Cdcl:
                 self._enqueue(v if self.phase[v] else -v, None)
 
 
-_RESTART = object()
-
-
-def _advance(search):
-    """Run a `_Cdcl.search` up to its next restart: _RESTART, or its answer."""
-    try:
-        next(search)
-    except StopIteration as done:
-        return done.value
-    return _RESTART
-
-
 def solve_internal(cnf, deadline=None):
     """Model as dict var -> bool, or None when unsatisfiable.
 
-    The model is always the plain search's on `cnf.clauses`.  Once that
-    search restarts, a second search on the clauses plus `cnf.symmetry`
-    takes turns with it, one restart interval each; its UNSAT ends the call.
+    The solver stays on `cnf`.  Called again after clauses were appended to
+    `cnf.clauses` (and var_count raised to cover their variables), it adds
+    only those and keeps what it learned; an instance that shrank gets a
+    fresh solver.
     """
-    plain = _Cdcl(cnf, deadline).search()
-    answer = _advance(plain)
-    helper = None
-    if answer is _RESTART and cnf.symmetry is not None:
-        both = CnfInstance(cnf.symmetry.var_count, cnf.clauses + cnf.symmetry.clauses)
-        helper = _Cdcl(both, deadline).search()
-    while answer is _RESTART:
-        if helper is not None:
-            verdict = _advance(helper)
-            if verdict is None:
-                return None
-            if verdict is not _RESTART:
-                helper = None  # satisfiable: the plain search finds its own model
-        answer = _advance(plain)
-    return answer
+    solver = cnf.solver
+    if solver is None or solver.loaded > len(cnf.clauses) or solver.nv > cnf.var_count:
+        solver = cnf.solver = _Cdcl()
+    return solver.solve(cnf, deadline)
 
 
 # ---------------------------------------------------------------- DIMACS

@@ -1,10 +1,11 @@
 """Exact learner: encode "an n-state DFA consistent with the sample exists"
 as CNF clauses, solve for increasing n, extract the model DFA.
 
-Variable families (all housed in a VarBook, one per (sample, n) build):
+Variable families (all housed in a VarBook, one per size n):
 
     d_{p,a,q}       transition p --a--> q is chosen
     f_q             state q is accepting
+    t, p, m         the BFS symmetry-breaking predicates (below)
     x_{u,q}         the run on prefix u can sit in q (u in Pref(W), where
                     W = Pos ∪ Neg ∪ antecedents)
     y^i_{q,q'}      joint reachability with the i-th universal consequent
@@ -21,8 +22,7 @@ Variable families (all housed in a VarBook, one per (sample, n) build):
 All four constraint families share the one x-universe, so a word's run is
 encoded once no matter how many sample items mention it.  Each constraint
 is the clause it stands for (Heule & Verwer, ICGI 2010; Neider, ATVA 2012),
-with gate variables, numbered after the blocks as the encoders first use
-them, only where a clause would otherwise need a conjunction:
+with gate variables only where a clause would otherwise need a conjunction:
 
     acc_u           one per antecedent u, shared by its universal and
                     existential items: one clause [acc_u, -x_{u,q}, -f_q]
@@ -32,9 +32,20 @@ them, only where a clause would otherwise need a conjunction:
                     clause lists z_{q,q',l}'s predecessor pairs (d, z_{l-1}),
                     a witness clause lists acc_u's accepting pairs (z, f)
 
-`build_formula` also attaches, as the CNF's optional symmetry block, the
-BFS symmetry-breaking predicates of Ulyantsev, Zakirzyanov & Shalyto (LATA
-2015) over the d-variables, in variables numbered above all of the above:
+A book lives as long as its sample grows, and its numbering only appends.
+The d-, f-, t-, p- and m-blocks and the empty prefix's x-block are
+numbered when the book is made, with the clauses over them alone.  Then
+`VarBook.extend` encodes the sample's items, each once: it numbers the
+x-block of each prefix the item brings in (with its at-most-one clauses and
+its one run step from its parent), then the item's y- or z-block and its
+gates, and appends the item's clauses.  The learner keeps one book per size
+from the least size not yet refuted, so each iteration's φ_n is the last
+one plus the new items' clauses, solved on by the same live solver (see
+`prop`).
+
+The BFS symmetry-breaking predicates of Ulyantsev, Zakirzyanov & Shalyto
+(LATA 2015) are ordinary clauses of φ_n, over the d-variables and three
+families of their own:
 
     t_{i,j}         (i < j) some transition i -> j is chosen
     p_{j,i}         (i < j) i is j's BFS parent, the least state with a
@@ -50,104 +61,110 @@ k < n states, some transition lies off its BFS tree (a non-empty alphabet
 gives k·|Σ| ≥ k transitions against k − 1 tree edges); pointing it at a
 fresh copy of its target adds a reachable state and keeps the language.
 The BFS relabelling of the padded n-state DFA satisfies the predicates,
-so φ_n plus the block is UNSAT only when φ_n is.  `prop.solve_internal`
-uses the block only to refute: the model always comes from the plain
-search on φ_n, so conjectures do not depend on it.
+so φ_n is satisfiable with them exactly when it is without them.  Every
+predicate clause mentions a t, p or m variable (`VarBook.symmetry_vars`),
+so the plain φ_n is the clause list without those.
 """
 
 import itertools
+import time
 
-from .automata import Dfa, shortlex_key
-from .errors import CapExceededError, InternalConsistencyError
+from .automata import Dfa
+from .errors import CapExceededError, ExternalSolverError, InternalConsistencyError, SolveTimeout
 from .learning import LearnOptions, run_cegis
 from .prop import CnfInstance, solve_internal
 from .sample import check_contradiction, finite_words
 
 
 class VarBook:
-    """Dense, stable variable numbering for one encoding; ids start at 1.
+    """Dense, append-only variable numbering of one φ_n and its CnfInstance
+    `cnf`; ids start at 1.  See the module docstring for the order."""
 
-    Block layout: d-block, f-block, x-block, then per-implication y/z blocks.
-    Gate variables are appended above the blocks by `new_var` as the
-    encoders first use them, so `var_count` grows while clauses are emitted.
-    """
-
-    def __init__(self, sample, n):
-        self.sample = sample
+    def __init__(self, alphabet, n):
+        self.alphabet = alphabet
         self.n = n
-        self.alphabet = sample.alphabet
-        self.nsym = len(sample.alphabet)
-        words = set(sample.pos) | set(sample.neg)
-        words.update(u for (u, _a) in sample.ex)
-        words.update(u for (u, _a) in sample.uni)
-        prefixes = {()}
-        for w in words:
-            for i in range(len(w) + 1):
-                prefixes.add(w[:i])
-        self.prefixes = tuple(sorted(prefixes, key=shortlex_key))
-        self._pref = {u: i for i, u in enumerate(self.prefixes)}
-        self._d0 = 0
-        self._f0 = self._d0 + n * self.nsym * n
-        self._x0 = self._f0 + n
-        cursor = self._x0 + len(self.prefixes) * n
-        self._y0 = []
-        for (_u, a) in sample.uni:
-            self._y0.append(cursor)
-            cursor += n * a.state_count
-        self._z0 = []
-        self._zk = []
-        for (_u, a) in sample.ex:
-            k = n * a.state_count - 1
-            words = finite_words(a)
-            if words is not None:
-                k = min(k, max(map(len, words), default=0))
-            self._z0.append(cursor)
-            self._zk.append(k)
-            cursor += n * a.state_count * (k + 1)
-        self.var_count = cursor
+        self.nsym = len(alphabet)
+        self._f0 = n * self.nsym * n
+        self.cnf = CnfInstance(self._f0 + n)
+        self.dt = [[[self.d(p, a, q) for q in range(n)] for a in range(self.nsym)]
+                   for p in range(n)]  # [p][a][q] -> d(p, a, q)
+        self._pref = {}  # prefix -> offset of its x-block, in numbering order
+        self._y = []  # per universal item: (offset, |Q_A|)
+        self._z = []  # per existential item: (offset, |Q_A|, k)
         self.gates = {}  # gate key -> its variable
+        self.done = {kind: () for kind in _ENCODERS}  # the items encoded
+        clauses = self.cnf.clauses
+        clauses += build_dfa_constraints(self)
+        top = self.var_count
+        clauses += build_symmetry(self)
+        self.symmetry_vars = range(top + 1, self.var_count + 1)
+        clauses += build_run_constraints(self, ())
+
+    @property
+    def var_count(self):
+        return self.cnf.var_count
+
+    @property
+    def prefixes(self):
+        return list(self._pref)
+
+    def _block(self, size):
+        """Number `size` fresh variables; the offset of the first."""
+        offset = self.cnf.var_count
+        self.cnf.var_count += size
+        return offset
+
+    def new_var(self):
+        return self._block(1) + 1
 
     def d(self, p, a, q):
-        return 1 + self._d0 + (p * self.nsym + a) * self.n + q
+        return 1 + (p * self.nsym + a) * self.n + q
 
     def f(self, q):
         return 1 + self._f0 + q
 
     def x(self, u, q):
-        return 1 + self._x0 + self._pref[u] * self.n + q
+        return 1 + self._pref[u] + q
 
     def y(self, i, q, qa):
-        na = self.sample.uni[i][1].state_count
-        return 1 + self._y0[i] + q * na + qa
+        offset, na = self._y[i]
+        return 1 + offset + q * na + qa
 
     def z(self, i, q, qa, l):
-        a = self.sample.ex[i][1]
-        na = a.state_count
-        return 1 + self._z0[i] + (l * self.n + q) * na + qa
+        offset, na, _k = self._z[i]
+        return 1 + offset + (l * self.n + q) * na + qa
 
     def k(self, i):
-        return self._zk[i]
-
-    def d_table(self):
-        """[p][a][q] -> d(p, a, q), for the encoders' inner loops."""
-        r = range(self.n)
-        return [[[self.d(p, a, q) for q in r] for a in range(self.nsym)] for p in r]
+        return self._z[i][2]
 
     def z_table(self, i):
         """[l][q][qa] -> z(i, q, qa, l)."""
-        na = self.sample.ex[i][1].state_count
+        _offset, na, k = self._z[i]
         return [[[self.z(i, q, qa, l) for qa in range(na)] for q in range(self.n)]
-                for l in range(self.k(i) + 1)]
+                for l in range(k + 1)]
 
-    def new_var(self):
-        self.var_count += 1
-        return self.var_count
+    def extend(self, sample, deadline=None):
+        """Append to `cnf` the clauses of the items of `sample` that the book
+        has not encoded yet.  Each of the sample's item lists must extend
+        the one of the last call, as a learner's growing sample does.  The
+        deadline is read before each item: past it, SolveTimeout, and the
+        next call goes on from that item."""
+        clauses = self.cnf.clauses
+        for kind, encode in _ENCODERS.items():
+            items, done = getattr(sample, kind), self.done[kind]
+            if items[:len(done)] != done:
+                raise ValueError(f"the sample's {kind} items do not extend the encoded ones")
+            for i in range(len(done), len(items)):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SolveTimeout("encoding hit the deadline")
+                clauses += encode(self, items[i])
+                self.done[kind] = items[:i + 1]
 
 
 def build_dfa_constraints(book):
     """Determinism (pairwise exclusion) and totality of the d-variables."""
     clauses = []
-    for row in book.d_table():
+    for row in book.dt:
         for ds in row:
             clauses += _at_most_one(ds)
             clauses.append(ds)
@@ -159,34 +176,42 @@ def _at_most_one(lits):
     return [[-a, -b] for i, a in enumerate(lits) for b in lits[i + 1:]]
 
 
-def build_run_constraints(book):
-    """x-variables track the run: rooted at (ε, q0), at most one state per
-    prefix, and propagated along chosen transitions."""
-    n = book.n
-    xs = [[book.x(u, q) for q in range(n)] for u in book.prefixes]
-    clauses = [[xs[0][0]]]
-    for xu in xs:
-        clauses += _at_most_one(xu)
-    dt = book.d_table()
-    for u, xu in zip(book.prefixes, xs):
-        for a in range(book.nsym):
-            ua = book._pref.get(u + (a,))
-            if ua is None:
-                continue
-            xua = xs[ua]
+def build_run_constraints(book, u):
+    """Number the x-blocks of u's prefixes that have none yet, each with
+    its at-most-one clauses and its run step from its parent along a chosen
+    transition (for the empty prefix, the root x_{ε,0}); their clauses."""
+    n, pref = book.n, book._pref
+    known = len(u)
+    while known >= 0 and u[:known] not in pref:
+        known -= 1
+    out = []
+    for i in range(known + 1, len(u) + 1):
+        offset = book._block(n)
+        xs = list(range(offset + 1, offset + n + 1))
+        if i == 0:
+            out.append([xs[0]])
+        else:
+            parent = pref[u[:i - 1]]
+            dt = book.dt
             for p in range(n):
-                dpa = dt[p][a]
+                dpa = dt[p][u[i - 1]]
                 for q in range(n):
-                    clauses.append([-xu[p], -dpa[q], xua[q]])
-    return clauses
+                    out.append([-(parent + 1 + p), -dpa[q], xs[q]])
+        out += _at_most_one(xs)
+        pref[u[:i]] = offset
+    return out
 
 
-def build_pos(book):
-    return [[-book.x(u, q), book.f(q)] for u in book.sample.pos for q in range(book.n)]
+def build_pos(book, u):
+    out = build_run_constraints(book, u)
+    out += [[-book.x(u, q), book.f(q)] for q in range(book.n)]
+    return out
 
 
-def build_neg(book):
-    return [[-book.x(u, q), -book.f(q)] for u in book.sample.neg for q in range(book.n)]
+def build_neg(book, u):
+    out = build_run_constraints(book, u)
+    out += [[-book.x(u, q), -book.f(q)] for q in range(book.n)]
+    return out
 
 
 def _accept_gate(book, u, out):
@@ -213,77 +238,91 @@ def _pair_gates(book, pairs, out):
     return lits
 
 
-def build_uni(book):
-    """Universal implications: if u is accepted, every word of the consequent
-    automaton must be accepted; y over-approximates joint reachability."""
+def build_uni(book, item):
+    """A universal implication: if u is accepted, every word of the
+    consequent automaton must be accepted; y over-approximates joint
+    reachability."""
+    u, a = item
     n = book.n
-    out = []
-    dt = book.d_table()
-    for i, (u, a) in enumerate(book.sample.uni):
-        y = [[book.y(i, q, qa) for qa in range(a.state_count)] for q in range(n)]
-        out.append([y[0][a.initial]])
+    out = build_run_constraints(book, u)
+    i = len(book._y)
+    book._y.append((book._block(n * a.state_count), a.state_count))
+    dt = book.dt
+    y = [[book.y(i, q, qa) for qa in range(a.state_count)] for q in range(n)]
+    out.append([y[0][a.initial]])
+    for (pa, sym, qa) in a.transitions:
+        for p in range(n):
+            yp, dps = y[p][pa], dt[p][sym]
+            for q in range(n):
+                if p == q and pa == qa:
+                    continue  # y → y: a tautology
+                out.append([-yp, -dps[q], y[q][qa]])
+    if a.accepting:
+        acc = _accept_gate(book, u, out)
+        out += [[-acc, -y[q][qa], book.f(q)] for q in range(n) for qa in sorted(a.accepting)]
+    return out
+
+
+def build_ex(book, item):
+    """An existential implication: if u is accepted, the DFA must accept
+    some consequent word; z is exact layered joint reachability up to
+    length k."""
+    u, a = item
+    n = book.n
+    out = build_run_constraints(book, u)
+    na = a.state_count
+    k = n * na - 1
+    words = finite_words(a)
+    if words is not None:
+        k = min(k, max(map(len, words), default=0))
+    i = len(book._z)
+    book._z.append((book._block(n * na * (k + 1)), na, k))
+    dt = book.dt
+    z = book.z_table(i)
+    for q in range(n):
+        for qa in range(na):
+            lit = z[0][q][qa]
+            out.append([lit if (q == 0 and qa == a.initial) else -lit])
+    for zl, znext in zip(z, z[1:]):
         for (pa, sym, qa) in a.transitions:
             for p in range(n):
-                yp, dps = y[p][pa], dt[p][sym]
+                zp, dps = zl[p][pa], dt[p][sym]
                 for q in range(n):
-                    if p == q and pa == qa:
-                        continue  # y → y: a tautology
-                    out.append([-yp, -dps[q], y[q][qa]])
-        if a.accepting:
-            acc = _accept_gate(book, u, out)
-            out += [[-acc, -y[q][qa], book.f(q)] for q in range(n) for qa in sorted(a.accepting)]
-    return out
-
-
-def build_ex(book):
-    """Existential implications: if u is accepted, the DFA must accept some
-    consequent word; z is exact layered joint reachability up to length k."""
-    n = book.n
-    out = []
-    dt = book.d_table()
-    for i, (u, a) in enumerate(book.sample.ex):
-        na = a.state_count
-        z = book.z_table(i)
+                    out.append([-zp, -dps[q], znext[q][qa]])
+    into = {}
+    for (pa, sym, qa) in a.transitions:
+        into.setdefault(qa, []).append((pa, sym))
+    for zprev, zl in zip(z, z[1:]):
         for q in range(n):
             for qa in range(na):
-                lit = z[0][q][qa]
-                out.append([lit if (q == 0 and qa == a.initial) else -lit])
-        for zl, znext in zip(z, z[1:]):
-            for (pa, sym, qa) in a.transitions:
-                for p in range(n):
-                    zp, dps = zl[p][pa], dt[p][sym]
-                    for q in range(n):
-                        out.append([-zp, -dps[q], znext[q][qa]])
-        into = {}
-        for (pa, sym, qa) in a.transitions:
-            into.setdefault(qa, []).append((pa, sym))
-        for zprev, zl in zip(z, z[1:]):
-            for q in range(n):
-                for qa in range(na):
-                    support = [
-                        (dt[p][sym][q], zprev[p][pa]) for (pa, sym) in into.get(qa, ()) for p in range(n)
-                    ]
-                    out.append([-zl[q][qa]] + _pair_gates(book, support, out))
-        witness = [
-            (zl[q][qa], book.f(q)) for zl in z for q in range(n) for qa in sorted(a.accepting)
-        ]
-        acc = _accept_gate(book, u, out)
-        out.append([-acc] + _pair_gates(book, witness, out))
+                support = [
+                    (dt[p][sym][q], zprev[p][pa]) for (pa, sym) in into.get(qa, ()) for p in range(n)
+                ]
+                out.append([-zl[q][qa]] + _pair_gates(book, support, out))
+    witness = [
+        (zl[q][qa], book.f(q)) for zl in z for q in range(n) for qa in sorted(a.accepting)
+    ]
+    acc = _accept_gate(book, u, out)
+    out.append([-acc] + _pair_gates(book, witness, out))
     return out
+
+
+# Sample item lists in the order `VarBook.extend` encodes them.
+_ENCODERS = {"pos": build_pos, "neg": build_neg, "uni": build_uni, "ex": build_ex}
 
 
 def build_symmetry(book):
-    """The BFS predicates over the d-variables, rooted at state 0, as a
-    CnfInstance: they hold exactly when every state is reachable and the
-    numbering is breadth-first.  The t, p and m variables (see the module
-    docstring) are numbered from book.var_count + 1 on, in that order; the
-    book itself is left as it is."""
+    """The BFS predicates over the d-variables, rooted at state 0: they hold
+    exactly when every state is reachable and the numbering is
+    breadth-first.  Numbers the t, p and m variables (see the module
+    docstring) in the book, in that order; returns the clauses."""
     n, nsym = book.n, book.nsym
-    dt = book.d_table()
+    dt = book.dt
     ids = itertools.count(book.var_count + 1)
     t = {(i, j): next(ids) for i in range(n) for j in range(i + 1, n)}
     p = {(j, i): next(ids) for j in range(1, n) for i in range(j)}
     m = {(a, i, j): next(ids) for (i, j) in t for a in range(nsym)}
+    book._block(len(t) + len(p) + len(m))
     out = []
     for (i, j), tij in t.items():
         ds = [dt[i][a][j] for a in range(nsym)]
@@ -311,17 +350,15 @@ def build_symmetry(book):
             for a in range(nsym):
                 for b in range(a + 1, nsym):
                     out.append([-p[j, i], -p[j + 1, i], -m[a, i, j + 1], -m[b, i, j]])
-    return CnfInstance(next(ids) - 1, out)
+    return out
 
 
 def build_formula(sample, n):
-    """The CNF for φ_n over the sample, with the BFS predicates attached as
-    its symmetry block; returns (CnfInstance, VarBook)."""
-    book = VarBook(sample, n)
-    clauses = build_dfa_constraints(book)
-    for build in (build_run_constraints, build_pos, build_neg, build_uni, build_ex):
-        clauses += build(book)
-    return CnfInstance(book.var_count, clauses, build_symmetry(book)), book
+    """The CNF for φ_n over the sample, BFS predicates included: a fresh
+    book extended by the sample.  Returns (CnfInstance, VarBook)."""
+    book = VarBook(sample.alphabet, n)
+    book.extend(sample)
+    return book.cnf, book
 
 
 def extract_dfa(model, book):
@@ -342,31 +379,45 @@ def extract_dfa(model, book):
     return Dfa(book.alphabet, n, tuple(delta), accepting)
 
 
-def minimal_consistent_dfa(sample, n_cap=32, solver=None, deadline=None, n_start=1):
-    """Smallest consistent DFA, by solving φ_1, φ_2, ... until satisfiable."""
+def minimal_consistent_dfa(sample, n_cap=32, solver=None, deadline=None, books=None):
+    """Smallest consistent DFA, by solving φ_n for n = 1, 2, ... until
+    satisfiable.
+
+    `books` (n -> VarBook, kept by the caller) carries the encodings from
+    one call to the next while the sample only grows.  The scan then starts
+    at its least size, each φ_n gets only the new items' clauses, and a
+    size found UNSAT is dropped, since more items keep it UNSAT.  A
+    plugged-in solver's UNSAT is re-proved by `solve_internal` first; a
+    model there raises ExternalSolverError.
+    """
     solver = solver or solve_internal
-    for n in range(n_start, n_cap + 1):
-        cnf, book = build_formula(sample, n)
-        model = solver(cnf, deadline)
+    books = {} if books is None else books
+    n = min(books, default=1)
+    while n <= n_cap:
+        book = books.get(n)
+        if book is None:
+            book = books[n] = VarBook(sample.alphabet, n)
+        book.extend(sample, deadline)
+        model = solver(book.cnf, deadline)
         if model is not None:
             return extract_dfa(model, book)
+        if solver is not solve_internal and solve_internal(book.cnf, deadline) is not None:
+            raise ExternalSolverError(f"the solver answered UNSAT on a satisfiable size-{n} CNF")
+        del books[n]
+        n += 1
     raise CapExceededError(n_cap)
 
 
 def learn(game, opts=None):
     """CEGIS with the exact learner; conjectures are minimal at every step."""
     opts = opts or LearnOptions()
-    # A growing sample only adds constraints, so the least satisfiable size
-    # never shrinks; resuming the scan there skips settled unsat checks.
-    floor = [1]
+    # The live φ_n of the growing sample, from the least size not refuted.
+    books = {}
 
     def conjecture(s, solver, deadline):
         check_contradiction(s, solver, deadline)  # raises on a contradictory sample
-        d = minimal_consistent_dfa(
-            s, n_cap=opts.max_states, solver=solver, deadline=deadline,
-            n_start=floor[0],
+        return minimal_consistent_dfa(
+            s, n_cap=opts.max_states, solver=solver, deadline=deadline, books=books,
         )
-        floor[0] = d.state_count
-        return d
 
     return run_cegis(game, conjecture, "sat", opts)

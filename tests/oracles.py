@@ -136,6 +136,47 @@ def cnf_models_brute(var_count, clauses):
     return out
 
 
+def cnf_model_brute(var_count, clauses):
+    """The first satisfying assignment in counting order, or None."""
+    for bits in itertools.product((False, True), repeat=var_count):
+        model = dict(enumerate(bits, start=1))
+        if cnf_satisfied(clauses, model):
+            return model
+    return None
+
+
+def grow_random_cnf(rng, cnf, units, new_vars):
+    """Append one chunk to the CnfInstance `cnf`, as a growing encoding
+    would: `new_vars` fresh variables, then a few clauses.  Each clause is
+    a random one, a unit, one that a unit given so far satisfies, one that
+    some of them make shorter, or (rarely) one that they falsify outright;
+    about one chunk in twenty-five also gets the empty clause.  `units`,
+    the literals of the units given so far, grows with the chunk."""
+    cnf.var_count += new_vars
+    nv = cnf.var_count
+
+    def lit():
+        return rng.choice((1, -1)) * rng.randint(1, nv)
+
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.2:
+            clause = [lit()]
+            units.append(clause[0])
+        elif kind < 0.35 and units:
+            clause = [rng.choice(units)] + [lit() for _ in range(rng.randint(0, 2))]
+        elif kind < 0.55 and units:
+            clause = [-rng.choice(units)] + [lit() for _ in range(rng.randint(1, 2))]
+        elif kind < 0.6 and units:
+            clause = [-u for u in rng.sample(units, min(len(units), rng.randint(1, 2)))]
+        else:
+            clause = [lit() for _ in range(rng.randint(2, 3))]
+        rng.shuffle(clause)
+        cnf.clauses.append(clause)
+    if rng.random() < 0.04:
+        cnf.clauses.append([])
+
+
 # ------------------------------------------------------- samples and DFAs
 
 

@@ -8,7 +8,6 @@ exhaustive DFA enumeration.  Everything here is deterministic.
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -27,7 +26,7 @@ from winset.benchmarks import BenchmarkSpec, game_size, generate_benchmark, half
 from winset.cli import main
 from winset.game import serialize_dfa, serialize_game
 from winset.learning import LearnOptions
-from winset.prop import solve_internal
+from winset.prop import CnfInstance, solve_internal
 from winset.relations import image, invert
 from winset.rpni import learn_rpni, merge_learn
 from winset.sample import is_consistent
@@ -120,10 +119,12 @@ def test_2_returned_sizes_are_minimal(sat_runs):
         n = res.dfa.state_count
         if n == 1:
             continue  # nothing below one state
-        cnf, _book = build_formula(res.sample, n - 1)
-        # the plain clause list alone: the proof must not lean on the
-        # symmetry block the learner used
-        if solve_internal(replace(cnf, symmetry=None)) is not None:
+        cnf, book = build_formula(res.sample, n - 1)
+        # the plain clause list alone: the proof must not lean on the BFS
+        # predicates the learner used, and each of them mentions t, p or m
+        sym = set(book.symmetry_vars)
+        plain = [c for c in cnf.clauses if not any(abs(lit) in sym for lit in c)]
+        if solve_internal(CnfInstance(cnf.var_count, plain)) is not None:
             ok = False
             break
         rechecked += 1

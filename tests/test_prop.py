@@ -6,7 +6,6 @@ import os
 import random
 import tempfile
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +20,7 @@ from winset.prop import (
     to_dimacs,
 )
 
-from oracles import cnf_models_brute, cnf_satisfied
+from oracles import cnf_model_brute, cnf_models_brute, cnf_satisfied, grow_random_cnf
 
 
 def random_3cnf(rng, var_count, clause_count):
@@ -49,16 +48,6 @@ def test_solver_agrees_with_brute_force():
     assert sat >= 5 and unsat >= 5  # the mix actually exercises both answers
 
 
-def run_to_answer(solver):
-    """Run a `_Cdcl` search through its restarts; its model or None."""
-    search = solver.search()
-    while True:
-        try:
-            next(search)
-        except StopIteration as done:
-            return done.value
-
-
 def test_pick_is_the_most_active_unassigned_variable():
     """Every decision takes the unassigned variable with the highest activity,
     ties going to the lowest index, whatever stale entries the heap holds."""
@@ -67,7 +56,7 @@ def test_pick_is_the_most_active_unassigned_variable():
     for _ in range(50):
         nv = rng.randint(15, 40)
         cnf = random_3cnf(rng, nv, int(nv * rng.uniform(3.5, 4.8)))
-        solver = prop._Cdcl(cnf, None)
+        solver = prop._Cdcl()
         real_pick = solver._pick
 
         def pick():
@@ -82,7 +71,7 @@ def test_pick_is_the_most_active_unassigned_variable():
             return got
 
         solver._pick = pick
-        model = run_to_answer(solver)
+        model = solver.solve(cnf, None)
         if model is not None:
             assert cnf_satisfied(cnf.clauses, model)
     assert picks >= 900 and ranked >= 500  # activities, not indices, decide most picks
@@ -97,9 +86,9 @@ def test_activity_rescale_keeps_every_answer():
     for _ in range(50):  # the instances of test_solver_agrees_with_brute_force
         nv = rng.randint(4, 10)
         cnf = random_3cnf(rng, nv, rng.randint(nv, 5 * nv))
-        solver = prop._Cdcl(cnf, None)
+        solver = prop._Cdcl()
         solver.act_inc = 5e99
-        model = run_to_answer(solver)
+        model = solver.solve(cnf, None)
         assert (model is not None) == bool(cnf_models_brute(nv, cnf.clauses))
         if model is not None:
             assert cnf_satisfied(cnf.clauses, model)
@@ -186,61 +175,64 @@ def test_deadline_raises_timeout():
     assert solve_internal(cnf, deadline=time.monotonic() + 60.0) is None
 
 
-def watch_searches(monkeypatch):
-    """Record every `_Cdcl.search` that runs: whether it is running right
-    now, its restarts, and whether it timed out."""
-    runs = []
-    real = prop._Cdcl.search
+def test_incremental_solves_agree_with_brute_force():
+    """One live solver per instance, grown chunk by chunk (new variables,
+    units, clauses already true or false at level 0, now and then the
+    empty clause): after every chunk its answer matches brute force, and a
+    model satisfies every clause so far."""
+    rng = random.Random(13)
+    answers = {True: 0, False: 0}
+    kinds = {"new vars": 0, "empty clause": 0, "false at level 0": 0}
+    for _ in range(80):
+        cnf, units = CnfInstance(rng.randint(2, 4)), []
+        live = None
+        for _chunk in range(5):
+            before = cnf.var_count
+            grow_random_cnf(rng, cnf, units, new_vars=rng.randint(0, 2))
+            kinds["new vars"] += cnf.var_count > before
+            model = solve_internal(cnf)
+            live = live or cnf.solver
+            assert cnf.solver is live  # every chunk went to the one solver
+            want = cnf_model_brute(cnf.var_count, cnf.clauses)
+            assert (model is not None) == (want is not None), cnf
+            if model is not None:
+                assert set(model) == set(range(1, cnf.var_count + 1))
+                assert cnf_satisfied(cnf.clauses, model)
+            answers[model is not None] += 1
+        kinds["empty clause"] += [] in cnf.clauses
+        falsified = {-lit for lit in units}
+        kinds["false at level 0"] += any(c and set(c) <= falsified for c in cnf.clauses)
+    assert min(answers.values()) >= 100, answers
+    assert min(kinds.values()) >= 10, kinds
 
-    def search(self):
-        run = SimpleNamespace(active=False, restarts=0, timed_out=False)
-        runs.append(run)
-        inner = real(self)
-        while True:
-            run.active = True
+
+def test_a_timeout_mid_search_leaves_the_instance_solvable():
+    """A search cut by its deadline leaves its solver mid-trail; the next
+    call on the same instance, grown or not, still answers right."""
+    rng = random.Random(29)
+    timeouts = 0
+    answers = {True: 0, False: 0}
+    for _ in range(10):
+        cnf = random_3cnf(rng, 100, 426)
+        for _chunk in range(3):
             try:
-                next(inner)
-            except StopIteration as done:
-                return done.value
+                solve_internal(cnf, deadline=time.monotonic() - 1.0)
             except SolveTimeout:
-                run.timed_out = True
-                raise
-            finally:
-                run.active = False
-            run.restarts += 1
-            yield
-
-    monkeypatch.setattr(prop._Cdcl, "search", search)
-    return runs
-
-
-def with_block(cnf, block_clauses):
-    """`cnf` with a symmetry block of `block_clauses` over its own variables."""
-    return CnfInstance(cnf.var_count, cnf.clauses, CnfInstance(cnf.var_count, block_clauses))
-
-
-def test_symmetry_block_waits_for_the_first_restart(monkeypatch):
-    runs = watch_searches(monkeypatch)
-    # an answer before the first restart never looks at the block (here one
-    # that breaks the block's promise, to show it is not read)
-    cnf = with_block(CnfInstance(2, [[1, 2], [-1, 2]]), [[2], [-2]])
-    assert solve_internal(cnf) == {1: False, 2: True}
-    assert len(runs) == 1
-    # after it, the block's search takes turns and its UNSAT ends the call
-    del runs[:]
-    assert solve_internal(with_block(pigeonhole(7, 6), [[1], [-1]])) is None
-    assert [run.restarts for run in runs] == [1, 0]
-
-
-def test_deadline_reaches_the_second_search(monkeypatch):
-    runs = watch_searches(monkeypatch)
-    # a clock that is past the deadline exactly while the block's search runs
-    second_running = lambda: len(runs) == 2 and runs[1].active
-    monkeypatch.setattr(prop, "time", SimpleNamespace(
-        monotonic=lambda: 10.0 if second_running() else 0.0))
+                timeouts += 1
+            model = solve_internal(cnf)
+            cold = solve_internal(CnfInstance(cnf.var_count, list(cnf.clauses)))
+            assert (model is None) == (cold is None)
+            if model is not None:
+                assert cnf_satisfied(cnf.clauses, model)
+            answers[model is not None] += 1
+            more = random_3cnf(rng, cnf.var_count + 4, 12)
+            cnf.var_count, cnf.clauses = more.var_count, cnf.clauses + more.clauses
+    assert timeouts >= 10 and min(answers.values()) >= 5, (timeouts, answers)
+    php = pigeonhole(7, 6)
     with pytest.raises(SolveTimeout):
-        solve_internal(with_block(pigeonhole(7, 6), [[1, 2]]), deadline=5.0)
-    assert [run.timed_out for run in runs] == [False, True]
+        solve_internal(php, deadline=time.monotonic() - 1.0)
+    assert php.solver.trail_lim  # cut above level 0
+    assert solve_internal(php) is None
 
 
 def write_script(tmp_path, name, body):

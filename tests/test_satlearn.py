@@ -7,15 +7,15 @@ import io
 import itertools
 import random
 import runpy
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from winset import prop
 from winset.automata import Alphabet, Nfa, from_words
-from winset.benchmarks import halfline_game
-from winset.errors import CapExceededError, InternalConsistencyError
+from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
+from winset.errors import CapExceededError, ExternalSolverError, InternalConsistencyError, SolveTimeout
 from winset.learning import LearnOptions
 from winset.prop import CnfInstance, solve_internal
 from winset.rpni import learn_rpni
@@ -25,11 +25,11 @@ from winset.satlearn import (
     build_dfa_constraints,
     build_formula,
     build_run_constraints,
-    build_symmetry,
     extract_dfa,
     learn,
     minimal_consistent_dfa,
 )
+from winset.game import serialize_dfa
 from winset.teacher import query
 
 from oracles import (
@@ -54,7 +54,7 @@ def solve_sample(s, n):
 
 
 def test_dfa_constraint_clause_counts():
-    book = VarBook(empty_sample(AB), 2)
+    book = VarBook(AB, 2)
     clauses = build_dfa_constraints(book)
     pairwise = [c for c in clauses if all(lit < 0 for lit in c)]
     totality = [c for c in clauses if all(lit > 0 for lit in c)]
@@ -79,29 +79,42 @@ def test_z_layer_bound():
     for conseq, k in cases:
         assert conseq.state_count == 2
         s = Sample(AB, (), (), (((), conseq),), ())
-        book = VarBook(s, n)
+        _cnf, book = build_formula(s, n)
         assert book.k(0) == k
-        # z ids cover exactly layers 0..k without overlap into var_count
-        top = book.z(0, n - 1, 1, book.k(0))
-        assert top == book.var_count
+        # z ids cover exactly layers 0..k, right after the empty prefix's
+        # x-block, and the item's gates come after them
+        first, top = book.z(0, 0, 0, 0), book.z(0, n - 1, 1, book.k(0))
+        assert first == book.x((), n - 1) + 1
+        assert top - first + 1 == n * 2 * (k + 1)
+        assert min(book.gates.values()) == top + 1
 
 
 def test_run_constraints_on_empty_universe():
-    book = VarBook(empty_sample(AB), 1)
-    assert build_run_constraints(book) == [[book.x((), 0)]]
+    book = VarBook(AB, 1)
+    assert book.prefixes == [()]
+    x = book.x((), 0)
+    assert [c for c in book.cnf.clauses if x in c or -x in c] == [[x]]
+    # a numbered prefix is never numbered again
+    assert build_run_constraints(book, ()) == []
+    assert book.var_count == x
 
 
 def test_gate_vars_are_appended_above_the_blocks():
+    """Every gate is numbered after the fixed blocks and after the x-, y-
+    and z-blocks of the item that first needs it, and is used."""
     a, b = AB.word("a"), AB.word("b")
     s = make_sample(AB, [()], [a], [((), [a, b])], [((), [b])])
-    blocks = VarBook(s, 2).var_count
+    fixed = VarBook(AB, 2).var_count
     cnf, book = build_formula(s, 2)
-    assert cnf.var_count == book.var_count > blocks
+    assert cnf.var_count == book.var_count > fixed
     used = {abs(lit) for clause in cnf.clauses for lit in clause}
-    # every gate variable is used, and numbered densely after the blocks
-    assert set(range(blocks + 1, cnf.var_count + 1)) <= used
+    gates = sorted(book.gates.values())
+    assert set(gates) <= used and len(set(gates)) == len(gates)
+    # the universal item comes first and makes the acceptance gate of eps
+    assert gates[0] == book.y(0, 1, 1) + 1 < book.z(0, 0, 0, 0)
     # both implications share the one acceptance gate of the word eps
     assert sum(1 for key in book.gates if key[0] == "acc") == 1
+    assert gates[-1] == cnf.var_count > book.z(0, 1, 2, book.k(0))
     again, _ = build_formula(s, 2)
     assert again == cnf  # the emission order is fixed
 
@@ -129,6 +142,12 @@ def test_emitted_clauses_are_clean():
     assert checked == 800
 
 
+def symmetry_clauses(book):
+    """The BFS predicates among the book's clauses."""
+    sym = book.symmetry_vars
+    return [c for c in book.cnf.clauses if any(abs(lit) in sym for lit in c)]
+
+
 def test_symmetry_predicates_pick_the_bfs_numbering():
     """With the d-variables fixed to a total DFA, the predicates hold exactly
     when every state is reachable from 0 and numbered breadth-first: one
@@ -137,20 +156,20 @@ def test_symmetry_predicates_pick_the_bfs_numbering():
     for alphabet, n_max in ((AB, 3), (UNARY, 4)):
         nsym = len(alphabet.symbols)
         for n in range(1, n_max + 1):
-            book = VarBook(empty_sample(alphabet), n)
-            top = book.var_count
-            block = build_symmetry(book)
-            assert book.var_count == top  # the book is left as it was
-            # t, p and m: n(n-1)/2 each, m once per symbol; all used, above the book
-            assert block.var_count == top + n * (n - 1) // 2 * (2 + nsym)
-            used = {abs(lit) for clause in block.clauses for lit in clause}
-            assert set(range(top + 1, block.var_count + 1)) <= used <= set(range(1, block.var_count + 1))
+            book = VarBook(alphabet, n)
+            block = symmetry_clauses(book)
+            # t, p and m: n(n-1)/2 each, m once per symbol, right after f;
+            # every one used, next to d-variables only
+            top = book.f(n - 1)
+            assert book.symmetry_vars == range(top + 1, top + 1 + n * (n - 1) // 2 * (2 + nsym))
+            used = {abs(lit) for clause in block for lit in clause}
+            assert set(book.symmetry_vars) <= used <= set(book.symmetry_vars) | set(range(1, book.f(0)))
             labelled, shapes = 0, set()
             for flat in itertools.product(range(n), repeat=n * nsym):
                 delta = [flat[p * nsym:(p + 1) * nsym] for p in range(n)]
                 fixed = [[book.d(p, a, q) if delta[p][a] == q else -book.d(p, a, q)]
                          for p in range(n) for a in range(nsym) for q in range(n)]
-                model = solve_internal(CnfInstance(block.var_count, fixed + block.clauses))
+                model = solve_internal(CnfInstance(book.var_count, fixed + block))
                 order = bfs_order(delta)
                 assert (model is not None) == (order == list(range(n))), delta
                 labelled += model is not None
@@ -160,20 +179,11 @@ def test_symmetry_predicates_pick_the_bfs_numbering():
             assert labelled == len(shapes)
 
 
-def test_symmetry_block_keeps_every_answer(monkeypatch):
-    """solve_internal returns the same model, or None, with and without the
-    BFS block, and appending the block's clauses keeps the SAT/UNSAT answer.
-    Acceptance check 4's samples (sizes 1-4) all end before the first
-    restart, so samples that a hidden 3-6 state DFA fits (sizes 1-5) are
-    added to reach the interleaved search, with both answers."""
-    solvers = []
-    real_init = prop._Cdcl.__init__
-
-    def init(self, cnf, deadline):
-        solvers.append(cnf)
-        real_init(self, cnf, deadline)
-
-    monkeypatch.setattr(prop._Cdcl, "__init__", init)
+def test_symmetry_block_keeps_every_answer():
+    """φ_n has the same SAT/UNSAT answer with and without its BFS
+    predicates, at and above the least satisfiable size: acceptance check
+    4's samples (sizes 1-4), and samples that a hidden 3-6 state DFA fits
+    (sizes 1-5), whose searches run into restarts."""
     rng = random.Random(4)
     cases = [(make_sample(AB, *random_sample_parts(rng)), (1, 2, 3, 4)) for _ in range(200)]
     for _ in range(100):
@@ -182,22 +192,139 @@ def test_symmetry_block_keeps_every_answer(monkeypatch):
         acc = {q for q in range(k) if rng.random() < 0.5}
         pos, neg = labelled_words(rng, delta, acc, 8, 7)
         cases.append((make_sample(AB, pos, neg, [], []), (1, 2, 3, 4, 5)))
-    interleaved = {"sat": 0, "unsat": 0, "sat above the minimum": 0}
+    counts = {"sat": 0, "unsat": 0, "sat above the minimum": 0, "unsat above 2": 0}
     for s, sizes in cases:
         least = None
         for n in sizes:
-            cnf, _book = build_formula(s, n)
-            del solvers[:]
+            cnf, book = build_formula(s, n)
+            sym = set(book.symmetry_vars)
+            plain = [c for c in cnf.clauses if not any(abs(lit) in sym for lit in c)]
+            assert len(plain) < len(cnf.clauses) or n == 1
             model = solve_internal(cnf)
+            assert (model is None) == (solve_internal(CnfInstance(cnf.var_count, plain)) is None)
             if model is not None and least is None:
                 least = n
-            if len(solvers) == 2:
-                interleaved["unsat" if model is None else "sat"] += 1
-                interleaved["sat above the minimum"] += model is not None and n > least
-            assert model == solve_internal(replace(cnf, symmetry=None))
-            both = CnfInstance(cnf.symmetry.var_count, cnf.clauses + cnf.symmetry.clauses)
-            assert (solve_internal(both) is None) == (model is None)
-    assert min(interleaved.values()) >= 5, interleaved
+            counts["unsat" if model is None else "sat"] += 1
+            counts["sat above the minimum"] += model is not None and n > least
+            counts["unsat above 2"] += model is None and n > 2
+    assert min(counts.values()) >= 100, counts
+
+
+def test_growing_samples_match_exhaustive_dfa_search():
+    """One book per size n = 1..3, extended item by item as a learner's
+    sample grows and solved on by its one live solver: after every item the
+    answer matches exhaustive DFA search, every model's DFA fits the sample
+    so far, and an UNSAT size stays UNSAT."""
+    rng = random.Random(1414)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        pos, neg, ex, uni = random_sample_parts(rng, max_len=3, max_consequent=2)
+        order = [("pos", w) for w in pos] + [("neg", w) for w in neg]
+        order += [("ex", item) for item in ex] + [("uni", item) for item in uni]
+        rng.shuffle(order)
+        books = {n: VarBook(AB, n) for n in (1, 2, 3)}
+        parts = {"pos": [], "neg": [], "ex": [], "uni": []}
+        was_sat = {n: True for n in books}
+        for kind, item in order:
+            if item in parts[kind]:
+                continue  # `add` keeps a sample's items distinct
+            parts[kind].append(item)
+            s = make_sample(AB, parts["pos"], parts["neg"], parts["ex"], parts["uni"])
+            for n, book in books.items():
+                book.extend(s)
+                model = solve_internal(book.cnf)
+                want = exists_consistent_dfa(2, n, parts["pos"], parts["neg"], parts["ex"], parts["uni"])
+                assert (model is not None) == want, (parts, n)
+                assert want <= was_sat[n]
+                was_sat[n] = want
+                verdicts[want] += 1
+                if model is not None:
+                    ok, bad = is_consistent(extract_dfa(model, book), s)
+                    assert ok, bad
+        # the one-shot encoding numbers as many variables and emits as many
+        # clauses, in another order when the kinds interleave
+        for n, book in books.items():
+            once = build_formula(s, n)[0]
+            assert (once.var_count, len(once.clauses)) == (book.var_count, len(book.cnf.clauses))
+    assert min(verdicts.values()) >= 150, verdicts
+
+
+def test_a_book_refuses_a_sample_that_does_not_extend_it():
+    a, b = AB.word("a"), AB.word("b")
+    book = build_formula(make_sample(AB, [a, b], [], [], []), 2)[1]
+    with pytest.raises(ValueError):
+        book.extend(make_sample(AB, [b, a], [], [], []))
+    book.extend(make_sample(AB, [a, b, ()], [], [], []))
+    assert book.done["pos"] == (a, b, ())
+
+
+def cycle_consequent(alphabet, states):
+    """An automaton with an infinite language: a on a cycle through every
+    state, b jumping ahead, the last state accepting."""
+    trans = {(q, 0, (q + 1) % states) for q in range(states)}
+    trans |= {(q, 1, (5 * q + 1) % states) for q in range(states)}
+    return Nfa(alphabet, states, 0, frozenset(trans), frozenset({states - 1}))
+
+
+def test_the_encoder_reads_the_deadline_between_items():
+    """Twenty existential items with a 10-state consequent take a while to
+    encode at n = 3.  A tight deadline stops the encoding with SolveTimeout
+    after a small share of that time, whether `extend` is called directly
+    or by the learner's scan, and the next call encodes from where it
+    stopped."""
+    conseq = cycle_consequent(AB, 10)
+    antecedents = list(itertools.product((0, 1), repeat=5))[:20]
+    s = Sample(AB, ((),), ((0,),), tuple((u, conseq) for u in antecedents), ())
+    t0 = time.monotonic()
+    full, _ = build_formula(s, 3)
+    full_s = time.monotonic() - t0
+    book = VarBook(AB, 3)
+    t0 = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        book.extend(s, deadline=t0 + 0.02)
+    assert time.monotonic() - t0 < full_s / 3, full_s
+    assert 0 < len(book.done["ex"]) < len(s.ex)
+    book.extend(s)
+    assert book.cnf == full
+    # the learner's scan, resumed at n = 3 as after two refuted sizes
+    books = {3: VarBook(AB, 3)}
+    t0 = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        minimal_consistent_dfa(s, deadline=t0 + 0.02, books=books)
+    assert time.monotonic() - t0 < full_s / 3, full_s
+    assert list(books) == [3]
+
+
+def test_a_plugged_in_solver_that_lies_unsat_is_caught():
+    """A plugged-in solver's UNSAT on φ_n is re-proved before the scan moves
+    past n: a lie at one size raises ExternalSolverError and keeps the book;
+    an honest UNSAT at n = 1 passes."""
+    a = AB.word("a")
+    s = make_sample(AB, [a], [()], [], [])  # needs two states
+    books = {}
+
+    def liar(cnf, deadline=None):
+        if 2 in books and cnf is books[2].cnf:
+            return None
+        return solve_internal(cnf, deadline)
+
+    with pytest.raises(ExternalSolverError):
+        minimal_consistent_dfa(s, solver=liar, books=books)
+    assert list(books) == [2]
+    honest = lambda cnf, deadline=None: solve_internal(cnf, deadline)
+    books = {}
+    assert minimal_consistent_dfa(s, solver=honest, books=books).state_count == 2
+    assert list(books) == [2]
+
+
+def test_learning_is_deterministic():
+    """Two runs learn byte-identical DFAs in as many iterations."""
+    g = generate_benchmark(BenchmarkSpec("evasion", {}))
+    runs = [learn(g) for _ in range(2)]
+    assert runs[0].outcome == runs[1].outcome == "solved"
+    assert serialize_dfa(runs[0].dfa) == serialize_dfa(runs[1].dfa)
+    assert runs[0].iterations == runs[1].iterations
+    assert runs[0].sample == runs[1].sample
 
 
 def test_pos_forces_accepting_initial():
@@ -318,7 +445,7 @@ def test_cap_exceeded():
 
 
 def test_extract_dfa_rejects_broken_models():
-    book = VarBook(empty_sample(AB), 2)
+    book = VarBook(AB, 2)
     model = {v: False for v in range(1, book.var_count + 1)}
     model[book.d(0, 0, 0)] = True
     model[book.d(0, 0, 1)] = True  # two targets
