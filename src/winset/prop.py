@@ -115,23 +115,21 @@ class _Cdcl:
         """Add clauses at level 0, simplified against its values."""
         value = self.value
         watches = self.watches
-        for raw in clauses:
-            lits = []
-            for lit in raw:
-                val = value[lit]
-                if val is True:
-                    break
-                if val is None:
-                    lits.append(lit)
+        for lits in clauses:
+            if any(value[lit] is not None for lit in lits):
+                if any(value[lit] for lit in lits):  # one is true
+                    continue
+                lits = [lit for lit in lits if value[lit] is None]
             else:
-                if len(lits) > 1:
-                    watches[lits[0]].append(lits)
-                    watches[lits[1]].append(lits)
-                elif lits:
-                    self._enqueue(lits[0], None)
-                else:
-                    self.ok = False
-                    return
+                lits = lits[:]  # the search reorders its own copy
+            if len(lits) > 1:
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            elif lits:
+                self._enqueue(lits[0], None)
+            else:
+                self.ok = False
+                return
 
     def solve(self, cnf, deadline):
         """Load the clauses appended to `cnf` since the last call and search

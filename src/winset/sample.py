@@ -88,6 +88,91 @@ def is_consistent(d, s):
     return True, None
 
 
+def _settle(items, acc, rej):
+    """Grow, in place, the words every consistent DFA accepts (`acc`) and
+    rejects (`rej`) by the implications `items`, (universal?, u, words)
+    with finite consequents: a universal's accepted u puts its words in
+    acc, and one rejected word puts u in rej; an existential whose words
+    are all rejected puts u in rej, and with u accepted every word whose
+    fellows are all rejected goes to acc.  Every rule only gets more
+    chances to fire as facts are added, so more facts never settle fewer
+    (on a contradictory sample too, where both sets may share words)."""
+    changed = True
+    while changed:
+        changed = False
+        for universal, u, words in items:
+            if universal:
+                if u in acc and not acc.issuperset(words):
+                    acc.update(words)
+                    changed = True
+                if u not in rej and not rej.isdisjoint(words):
+                    rej.add(u)
+                    changed = True
+                continue
+            live = [w for w in words if w not in rej]
+            if not live and u not in rej:
+                rej.add(u)
+                changed = True
+            if u in acc and len(live) <= 1:
+                for w in words:
+                    if w not in acc and all(x in rej for x in words if x != w):
+                        acc.add(w)
+                        changed = True
+
+
+def _split_pairs(acc, rej, prefixes):
+    """Pairs of distinct `prefixes` u, v with a suffix t such that u·t is in
+    acc and v·t in rej, each as (shortlex-smaller, larger)."""
+    ends = {}  # suffix t -> the prefixes v with v·t in rej
+    for r in rej:
+        for i in range(len(r) + 1):
+            if r[:i] in prefixes:
+                ends.setdefault(r[i:], []).append(r[:i])
+    pairs = set()
+    for a in acc:
+        for i in range(len(a) + 1):
+            u = a[:i]
+            if u in prefixes:
+                for v in ends.get(a[i:], ()):
+                    if v != u:
+                        pairs.add((u, v) if (i, u) < (len(v), v) else (v, u))
+    return pairs
+
+
+@lru_cache(maxsize=1)  # each live size's book asks for the same sample
+def distinct_pairs(s):
+    """Pairs (u, v) of prefixes of the sample's words (positive, negative
+    and antecedents) that every DFA consistent with `s` runs to different
+    states, each shortlex-smaller first.
+
+    A pair is found when some suffix t has u·t accepted and v·t rejected by
+    the words that the sample settles (`_settle` from Pos and Neg), or in
+    every case of an existential item whose antecedent is settled accepted
+    and whose consequent has finitely many words: one case per word w, the
+    pairs found with w accepted too.  Every consistent DFA accepts one of
+    the words, so it runs the pairs of that case apart.  A sample that
+    extends another keeps every pair of it.
+    """
+    items = [(True, u, finite_words(a)) for (u, a) in s.uni]
+    items += [(False, u, finite_words(a)) for (u, a) in s.ex]
+    items = [item for item in items if item[2] is not None]
+    heads = (*s.pos, *s.neg, *(u for (u, _a) in s.ex), *(u for (u, _a) in s.uni))
+    prefixes = {w[:i] for w in heads for i in range(len(w) + 1)}
+    acc, rej = set(s.pos), set(s.neg)
+    _settle(items, acc, rej)
+    pairs = _split_pairs(acc, rej, prefixes)
+    for universal, u, words in items:
+        if universal or u not in acc or len(words) < 2:
+            continue
+        cases = []
+        for w in words:
+            case_acc, case_rej = acc | {w}, set(rej)
+            _settle(items, case_acc, case_rej)
+            cases.append(_split_pairs(case_acc, case_rej, prefixes))
+        pairs |= set.intersection(*cases)
+    return pairs
+
+
 def chi(s):
     """The membership CNF over the sample's word universe, or None.
 

@@ -32,13 +32,23 @@ with gate variables only where a clause would otherwise need a conjunction:
                     clause lists z_{q,q',l}'s predecessor pairs (d, z_{l-1}),
                     a witness clause lists acc_u's accepting pairs (z, f)
 
+The x-blocks also carry what `sample.distinct_pairs` settles from the
+sample alone: pairs of prefixes u, v that every consistent DFA runs to
+different states (Heule & Verwer's conflict edges, found through the
+implications too).  Each pair gets the clause [-x_{u,q}, -x_{v,q}] for
+every state q.  These clauses hold in every model, so they break no
+symmetry; they hand the solver the pigeonhole core that it would otherwise
+derive through the transitions once per numbering of the states.
+
 A book lives as long as its sample grows, and its numbering only appends.
 The d-, f-, t-, p- and m-blocks and the empty prefix's x-block are
 numbered when the book is made, with the clauses over them alone.  Then
 `VarBook.extend` encodes the sample's items, each once: it numbers the
 x-block of each prefix the item brings in (with its at-most-one clauses and
 its one run step from its parent), then the item's y- or z-block and its
-gates, and appends the item's clauses.  The learner keeps one book per size
+gates, and appends the item's clauses; last come the clauses of the
+distinct pairs not encoded yet (a grown sample keeps every pair of the one
+it grew from).  The learner keeps one book per size
 from the least size not yet refuted, so each iteration's φ_n is the last
 one plus the new items' clauses, solved on by the same live solver (see
 `prop`).
@@ -73,7 +83,7 @@ from .automata import Dfa
 from .errors import CapExceededError, ExternalSolverError, InternalConsistencyError, SolveTimeout
 from .learning import LearnOptions, run_cegis
 from .prop import CnfInstance, solve_internal
-from .sample import check_contradiction, finite_words
+from .sample import check_contradiction, distinct_pairs, finite_words
 
 
 class VarBook:
@@ -88,11 +98,15 @@ class VarBook:
         self.cnf = CnfInstance(self._f0 + n)
         self.dt = [[[self.d(p, a, q) for q in range(n)] for a in range(self.nsym)]
                    for p in range(n)]  # [p][a][q] -> d(p, a, q)
+        # the negated d literals, made once: the clauses over -d share these
+        # int objects instead of holding one each
+        self.not_dt = [[[-d for d in ds] for ds in row] for row in self.dt]
         self._pref = {}  # prefix -> offset of its x-block, in numbering order
         self._y = []  # per universal item: (offset, |Q_A|)
         self._z = []  # per existential item: (offset, |Q_A|, k)
         self.gates = {}  # gate key -> its variable
         self.done = {kind: () for kind in _ENCODERS}  # the items encoded
+        self.apart = set()  # the distinct pairs encoded
         clauses = self.cnf.clauses
         clauses += build_dfa_constraints(self)
         top = self.var_count
@@ -145,10 +159,11 @@ class VarBook:
 
     def extend(self, sample, deadline=None):
         """Append to `cnf` the clauses of the items of `sample` that the book
-        has not encoded yet.  Each of the sample's item lists must extend
-        the one of the last call, as a learner's growing sample does.  The
-        deadline is read before each item: past it, SolveTimeout, and the
-        next call goes on from that item."""
+        has not encoded yet, then those of its distinct pairs not encoded
+        yet.  Each of the sample's item lists must extend the one of the
+        last call, as a learner's growing sample does.  The deadline is
+        read before each item: past it, SolveTimeout, and the next call
+        goes on from that item."""
         clauses = self.cnf.clauses
         for kind, encode in _ENCODERS.items():
             items, done = getattr(sample, kind), self.done[kind]
@@ -159,6 +174,11 @@ class VarBook:
                     raise SolveTimeout("encoding hit the deadline")
                 clauses += encode(self, items[i])
                 self.done[kind] = items[:i + 1]
+        new = distinct_pairs(sample) - self.apart
+        for u, v in sorted(new):
+            xu, xv = self._pref[u], self._pref[v]
+            clauses += [[-1 - xu - q, -1 - xv - q] for q in range(self.n)]
+        self.apart |= new
 
 
 def build_dfa_constraints(book):
@@ -173,7 +193,8 @@ def build_dfa_constraints(book):
 
 def _at_most_one(lits):
     """Pairwise exclusion, once per unordered pair."""
-    return [[-a, -b] for i, a in enumerate(lits) for b in lits[i + 1:]]
+    neg = [-a for a in lits]
+    return [[a, b] for i, a in enumerate(neg) for b in neg[i + 1:]]
 
 
 def build_run_constraints(book, u):
@@ -192,11 +213,10 @@ def build_run_constraints(book, u):
             out.append([xs[0]])
         else:
             parent = pref[u[:i - 1]]
-            dt = book.dt
             for p in range(n):
-                dpa = dt[p][u[i - 1]]
+                not_x, not_d = -(parent + 1 + p), book.not_dt[p][u[i - 1]]
                 for q in range(n):
-                    out.append([-(parent + 1 + p), -dpa[q], xs[q]])
+                    out.append([not_x, not_d[q], xs[q]])
         out += _at_most_one(xs)
         pref[u[:i]] = offset
     return out
@@ -232,8 +252,8 @@ def _pair_gates(book, pairs, out):
         h = gates.get(pair)
         if h is None:
             h = gates[pair] = book.new_var()
-            out.append([-h, pair[0]])
-            out.append([-h, pair[1]])
+            not_h = -h
+            out += [[not_h, pair[0]], [not_h, pair[1]]]
         lits.append(h)
     return lits
 
@@ -247,16 +267,15 @@ def build_uni(book, item):
     out = build_run_constraints(book, u)
     i = len(book._y)
     book._y.append((book._block(n * a.state_count), a.state_count))
-    dt = book.dt
     y = [[book.y(i, q, qa) for qa in range(a.state_count)] for q in range(n)]
     out.append([y[0][a.initial]])
     for (pa, sym, qa) in a.transitions:
         for p in range(n):
-            yp, dps = y[p][pa], dt[p][sym]
+            not_y, not_d = -y[p][pa], book.not_dt[p][sym]
             for q in range(n):
                 if p == q and pa == qa:
                     continue  # y → y: a tautology
-                out.append([-yp, -dps[q], y[q][qa]])
+                out.append([not_y, not_d[q], y[q][qa]])
     if a.accepting:
         acc = _accept_gate(book, u, out)
         out += [[-acc, -y[q][qa], book.f(q)] for q in range(n) for qa in sorted(a.accepting)]
@@ -286,9 +305,9 @@ def build_ex(book, item):
     for zl, znext in zip(z, z[1:]):
         for (pa, sym, qa) in a.transitions:
             for p in range(n):
-                zp, dps = zl[p][pa], dt[p][sym]
+                not_z, not_d = -zl[p][pa], book.not_dt[p][sym]
                 for q in range(n):
-                    out.append([-zp, -dps[q], znext[q][qa]])
+                    out.append([not_z, not_d[q], znext[q][qa]])
     into = {}
     for (pa, sym, qa) in a.transitions:
         into.setdefault(qa, []).append((pa, sym))

@@ -1,6 +1,7 @@
 """Sample store tests: adding counterexamples, consistency checking against
 a brute-force re-check, and the contradiction test."""
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from winset.sample import (
     add,
     check_contradiction,
     chi,
+    distinct_pairs,
     dump_sample,
     empty_sample,
     is_consistent,
@@ -190,3 +192,66 @@ def test_chi_clauses_gates_and_count():
     assert cnf.var_count == 4
     assert cnf.clauses == [[-2, 3], [-4, 2], [-4, 3], [-1, 4], [-2, 4]]
     assert solve_internal(cnf) is not None
+
+
+def runs_of(delta):
+    def run(w):
+        q = 0
+        for sym in w:
+            q = delta[q][sym]
+        return q
+    return run
+
+
+def implication_samples(rng, count):
+    """Random samples as plain parts, most of them with an existential item
+    whose antecedent is positive, so that it is split into cases."""
+    for _ in range(count):
+        pos, neg, ex, uni = random_sample_parts(rng, max_len=3, max_consequent=3)
+        if ex and rng.random() < 0.7:
+            pos = pos + [ex[0][0]]
+        yield pos, neg, ex, uni
+
+
+def test_distinct_pairs_hold_in_every_consistent_dfa():
+    """Every DFA of up to three states that fits a random sample runs each
+    distinct pair to two states."""
+    rng = random.Random(2024)
+    checked = 0
+    for pos, neg, ex, uni in implication_samples(rng, 40):
+        pairs = distinct_pairs(make_sample(AB, pos, neg, ex, uni))
+        for n in (1, 2, 3):
+            for flat in itertools.product(range(n), repeat=2 * n):
+                delta = [flat[2 * q:2 * q + 2] for q in range(n)]
+                run = runs_of(delta)
+                for acc in map(set, itertools.chain.from_iterable(
+                        itertools.combinations(range(n), k) for k in range(n + 1))):
+                    if not sample_holds_brute(delta, acc, pos, neg, ex, uni):
+                        continue
+                    for u, v in pairs:
+                        assert run(u) != run(v), (pos, neg, ex, uni, u, v)
+                        checked += 1
+    assert checked >= 500
+
+
+def test_distinct_pairs_grow_with_the_sample():
+    """Item by item, a growing sample keeps every pair it had: the encoder
+    only appends their clauses."""
+    rng = random.Random(99)
+    grown = 0
+    for pos, neg, ex, uni in implication_samples(rng, 60):
+        order = [("pos", w) for w in pos] + [("neg", w) for w in neg]
+        order += [("ex", item) for item in ex] + [("uni", item) for item in uni]
+        rng.shuffle(order)
+        parts = {"pos": [], "neg": [], "ex": [], "uni": []}
+        last = set()
+        for kind, item in order:
+            if item in parts[kind]:
+                continue
+            parts[kind].append(item)
+            pairs = distinct_pairs(
+                make_sample(AB, parts["pos"], parts["neg"], parts["ex"], parts["uni"]))
+            assert last <= pairs
+            grown += len(pairs) > len(last)
+            last = pairs
+    assert grown >= 50

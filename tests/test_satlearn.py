@@ -3,6 +3,7 @@ sat/unsat decisions cross-checked by exhaustive DFA enumeration, and the
 learning loop on the half-line game."""
 
 import contextlib
+import gc
 import io
 import itertools
 import random
@@ -279,6 +280,9 @@ def test_the_encoder_reads_the_deadline_between_items():
     full, _ = build_formula(s, 3)
     full_s = time.monotonic() - t0
     book = VarBook(AB, 3)
+    # a full collection walking the CNFs built here would otherwise land in
+    # a timed window now and then; start each window with a fresh count
+    gc.collect()
     t0 = time.monotonic()
     with pytest.raises(SolveTimeout):
         book.extend(s, deadline=t0 + 0.02)
@@ -288,6 +292,7 @@ def test_the_encoder_reads_the_deadline_between_items():
     assert book.cnf == full
     # the learner's scan, resumed at n = 3 as after two refuted sizes
     books = {3: VarBook(AB, 3)}
+    gc.collect()
     t0 = time.monotonic()
     with pytest.raises(SolveTimeout):
         minimal_consistent_dfa(s, deadline=t0 + 0.02, books=books)
