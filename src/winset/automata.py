@@ -10,13 +10,15 @@ Conventions used throughout the package:
     `moves[state][symbol]`, the tuple of targets, which an Nfa or a Dfa
     builds once, on first use.
 
-Witness and emptiness questions about intersections and differences are
-answered by one grouped breadth-first search (`shortest_word`,
-`product_word`) that walks a `Product` on the fly.  A product's operands
+Witness and emptiness questions about one automaton, intersections and
+differences are answered by one grouped breadth-first search
+(`product_word`) that walks a `Product` on the fly.  A product's operands
 are of three kinds: a Dfa, read through `delta` (or its move table, next
-to an Nfa); an Nfa, read through its move table; and the complement of an
-Nfa, determinized on demand by a `Subsets` whose rows are filled only when
-the search reaches them.
+to an Nfa); any other automaton (an Nfa, or an on-demand automaton such
+as `relations.Image`), read through its move table; and the complement of
+such an automaton, determinized on demand by a `Subsets` whose rows are
+filled only when the search reaches them.  Acceptance is only ever
+tested by membership (`in`).
 `intersect`, `difference` and `determinize` build the same objects out in
 full.
 """
@@ -212,7 +214,8 @@ class Subsets:
     searches over the same Subsets reuse them; `moves[i]` is the same row
     as an Nfa's move table has it.  Of the subsets reached so far,
     `accepting` holds those that meet the automaton's accepting states and
-    `rejecting` the others.
+    `rejecting` the others; the automaton's own `accepting` is only asked
+    for membership, so it may be an on-demand one such as an Image.
     """
 
     def __init__(self, a):
@@ -229,7 +232,7 @@ class Subsets:
             if i is None:
                 i = index[subset] = len(subsets)
                 subsets.append(subset)
-                (rejecting if final.isdisjoint(subset) else accepting).add(i)
+                (accepting if any(map(final.__contains__, subset)) else rejecting).add(i)
             return i
 
         def row(i):
@@ -277,16 +280,18 @@ class Product:
     does, as an automaton that is walked, never built.
 
     Its states are tuples of operand states, one per operand, positives
-    first.  Operands are Nfa, Dfa or Subsets.  A negative Nfa is
-    determinized on demand as a fresh Subsets; a negative Dfa or Subsets,
-    total and deterministic, is complemented by flipping acceptance, so a
-    Subsets shared between products (the teacher's F) keeps the rows
-    earlier searches filled.  `moves[t]` is computed when read: per
-    symbol, the tuple of successors in lexicographic order.
+    first.  An operand is a Dfa, a Subsets or any automaton with
+    `initial`, `moves` and membership in `accepting` (an Nfa, an Image).
+    A negative operand of the last kind is determinized on demand as a
+    fresh Subsets; a negative Dfa or Subsets, total and deterministic, is
+    complemented by flipping acceptance, so a Subsets shared between
+    products (the teacher's F) keeps the rows earlier searches filled.
+    `moves[t]` is computed when read: per symbol, the tuple of successors
+    in lexicographic order.
     """
 
     def __init__(self, positive, negative=()):
-        negative = [Subsets(b) if isinstance(b, Nfa) else b for b in negative]
+        negative = [b if isinstance(b, (Dfa, Subsets)) else Subsets(b) for b in negative]
         operands = [*positive, *negative]
         _check_same_alphabet(*operands)
         self.alphabet = operands[0].alphabet
@@ -401,47 +406,29 @@ def difference(a, b):
     return _reachable(Product([a], [b]))
 
 
-def shortest_word(a):
-    """Shortlex-least accepted word, or None for the empty language.
-
-    `a` is an Nfa, a Dfa or a Subsets.  The search reads only its initial
-    state, its move table (`moves[state][symbol]`, the targets, built once
-    per automaton) and membership in its accepting states, so a Subsets is
-    filled only as far as the search reaches.  Products go through
-    `product_word`, which runs the same search.
-    """
-    return _least_word(a, None)
-
-
 def product_word(positive, negative=(), deadline=None):
     """Shortlex-least word that every `positive` automaton accepts and no
-    `negative` one does, or None.
+    `negative` one does, or None; `product_word([a])` is the least word of
+    `a`.  Past `deadline` (a time.monotonic() value, read every 256 groups)
+    it raises SolveTimeout.
 
-    The search of `shortest_word` over `Product(positive, negative)`, which
-    is walked as far as the search reaches and never built.  Past
-    `deadline` (a time.monotonic() value, read every 256 groups) it raises
-    SolveTimeout.
-    """
-    return _least_word(Product(positive, negative), deadline)
-
-
-def _least_word(a, deadline):
-    """The search behind shortest_word and product_word.
-
-    One forward breadth-first pass over groups of states.  A group holds the
-    states whose shortlex-least access word is the group's word.  Groups are
-    expanded in queue order, and each symbol in declared order; the next
-    group is the set of successors not seen in an earlier group.  A state's
-    least access word is some predecessor's least word plus one symbol, so
-    the groups are reached in shortlex order of their words, and the first
-    group that holds an accepting state gives the answer.  Each state joins
-    one group, so the search follows each transition at most once; it needs
-    no predecessor map and stops at the first accepting group.
+    One forward breadth-first pass over groups of states of
+    `Product(positive, negative)`, which is walked as far as the search
+    reaches and never built.  A group holds the states whose shortlex-least
+    access word is the group's word.  Groups are expanded in queue order,
+    and each symbol in declared order; the next group is the set of
+    successors not seen in an earlier group.  A state's least access word
+    is some predecessor's least word plus one symbol, so the groups are
+    reached in shortlex order of their words, and the first group that
+    holds an accepting state gives the answer.  Each state joins one group,
+    so the search follows each transition at most once; it needs no
+    predecessor map and stops at the first accepting group.
 
     The grouping matters on NFAs.  With 0 -b-> 2, 0 -b-> 3, 2 -b-> 4,
     3 -a-> 4 and 4 accepting, the states 2 and 3 share the word b; a search
     over single states would expand 2 before 3 and answer b b, not b a.
     """
+    a = Product(positive, negative)
     moves, accepting = a.moves, a.accepting
     if a.initial in accepting:
         return ()

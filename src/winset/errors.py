@@ -16,13 +16,9 @@ class AlphabetMismatchError(WinsetError):
 class GameFormatError(WinsetError):
     """Syntax error in a game/automaton file."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 class InvariantViolation(WinsetError):
@@ -31,14 +27,12 @@ class InvariantViolation(WinsetError):
     Carries the invariant name and, where one exists, a witness word.
     """
 
-    def __init__(self, invariant, witness=None, detail=""):
+    def __init__(self, invariant, witness=None):
         self.invariant = invariant
         self.witness = witness
         msg = f"invariant violated: {invariant}"
         if witness is not None:
             msg += f" (witness: {witness!r})"
-        if detail:
-            msg += f" — {detail}"
         super().__init__(msg)
 
 

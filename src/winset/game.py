@@ -23,7 +23,7 @@ File format (UTF-8, `#` starts a comment):
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, product_word, shortest_word
+from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, product_word
 from .errors import GameFormatError, InvalidWordError, InvariantViolation
 from .relations import Transducer
 
@@ -54,9 +54,9 @@ def validate_game(g):
     w = product_word([g.initial], [g.safe])
     if w is not None:
         raise InvariantViolation("I included in F", witness=g.alphabet.text(w))
-    if shortest_word(g.v0) is None:
+    if product_word([g.v0]) is None:
         raise InvariantViolation("L(v0) non-empty")
-    if shortest_word(g.v1) is None:
+    if product_word([g.v1]) is None:
         raise InvariantViolation("L(v1) non-empty")
     return g
 

@@ -2,11 +2,16 @@
 
 A transducer transition carries an input label and an output label, each a
 symbol index or None (epsilon).  Both-epsilon transitions are silent moves.
+
+The image of a language under a transducer is an `Image`, walked on demand
+like `automata.Product`: the teacher's checks 3 and 4 search it directly,
+so it is explored only as far as their search goes.  `image` and
+`successors` build it out as an Nfa.
 """
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, from_words, _reachable
+from .automata import Alphabet, _reachable, _Rows, from_words
 from .errors import AlphabetMismatchError
 
 
@@ -54,82 +59,71 @@ def invert(t):
     return Transducer(t.alphabet, t.state_count, t.initial, trans, t.accepting)
 
 
-def image(t, x):
-    """Nfa for { v | exists u in L(x) with (u, v) in R(t) }.
+class Image:
+    """{ v | exists u in L(x) with (u, v) in R(t) }, as an automaton that is
+    walked, never built, like `automata.Product`.
 
-    Product of x with the input track (eps in-labels let x stand still),
-    projected to out-labels; out-eps moves are eliminated eagerly so the
-    result is an ordinary eps-free Nfa, trimmed to reachable states.  `x`
-    is an Nfa, a Dfa or an automata.Product, read through its move table,
-    so a product is walked only where the transducer takes it.
+    Its states are pairs (x state, t state).  A state's row is filled the
+    first time it is read: the fill follows at once the transducer moves
+    that output ε (an ε in-label leaves x where it is), so the rows carry
+    only output symbols, and the same closure settles whether the state
+    accepts.  `moves[s][sym]` is the tuple of targets; `accepting` answers
+    membership only.  `x` is an Nfa, a Dfa, a Subsets or a Product, read
+    through its move table, so a product is walked only where the
+    transducer takes it.
     """
-    if x.alphabet != t.alphabet:
-        raise AlphabetMismatchError(
-            f"mixed alphabets: {t.alphabet.symbols} vs {x.alphabet.symbols}"
-        )
-    xmoves = x.moves
-    edges = _out_edges(t)
-    start = (x.initial, t.initial)
-    index = {start: 0}
-    order = [start]
-    labeled = []  # (src_id, out_label_or_None, dst_id)
-    i = 0
-    while i < len(order):
-        (p, q) = order[i]
-        xrow = xmoves[p]  # read once: a product computes its rows on every read
-        for (a, b, q2) in edges.get(q, ()):
-            if a is None:
-                targets = (p,)
-            else:
-                targets = xrow[a]
-            for p2 in targets:
-                key = (p2, q2)
-                if key not in index:
-                    index[key] = len(order)
-                    order.append(key)
-                labeled.append((i, b, index[key]))
-        i += 1
-    n = len(order)
-    accepting = {
-        i for i, (p, q) in enumerate(order) if p in x.accepting and q in t.accepting
-    }
 
-    # eliminate silent moves (out-label None) by forward closure
-    eps_adj = {}
-    for (s, b, s2) in labeled:
-        if b is None:
-            eps_adj.setdefault(s, set()).add(s2)
-    closure = {}
+    def __init__(self, t, x):
+        if x.alphabet != t.alphabet:
+            raise AlphabetMismatchError(
+                f"mixed alphabets: {t.alphabet.symbols} vs {x.alphabet.symbols}"
+            )
+        self.alphabet = t.alphabet
+        self.initial = (x.initial, t.initial)
+        xmoves, xfinal, tfinal = x.moves, x.accepting, t.accepting
+        edges = _out_edges(t)
+        symbols = range(len(t.alphabet))
+        final = set()
 
-    def close(s):
-        if s in closure:
-            return closure[s]
-        group = {s}
-        stack = [s]
-        while stack:
-            cur = stack.pop()
-            for nxt in eps_adj.get(cur, ()):
-                if nxt not in group:
-                    group.add(nxt)
-                    stack.append(nxt)
-        closure[s] = group
-        return group
+        def row(s):
+            closure = {s}
+            stack = [s]
+            out = [{} for _ in symbols]  # dicts as insertion-ordered sets
+            while stack:
+                p, q = stack.pop()
+                xrow = xmoves[p]  # read once: a product computes its rows on every read
+                for (a, b, q2) in edges.get(q, ()):
+                    for p2 in (p,) if a is None else xrow[a]:
+                        if b is not None:
+                            out[b][p2, q2] = None
+                        elif (p2, q2) not in closure:
+                            closure.add((p2, q2))
+                            stack.append((p2, q2))
+            if any(p in xfinal and q in tfinal for (p, q) in closure):
+                final.add(s)
+            return tuple(map(tuple, out))
 
-    real = {}
-    for (s, b, s2) in labeled:
-        if b is not None:
-            real.setdefault(s, []).append((b, s2))
-    trans = set()
-    acc2 = set()
-    for s in range(n):
-        grp = close(s)
-        if grp & accepting:
-            acc2.add(s)
-        for member in grp:
-            for (b, s2) in real.get(member, ()):
-                trans.add((s, b, s2))
-    out = Nfa(t.alphabet, n, index[start], frozenset(trans), frozenset(acc2))
-    return _reachable(out)
+        # closures over locals, as in Subsets: no reference cycle through self
+        self.moves = moves = _Rows(row)
+        self.accepting = _Settled(moves, final)
+
+
+class _Settled:
+    """An Image's accepting states: filling a state's row settles it."""
+
+    def __init__(self, moves, final):
+        self.moves = moves
+        self.final = final
+
+    def __contains__(self, s):
+        self.moves[s]
+        return s in self.final
+
+
+def image(t, x):
+    """Nfa for { v | exists u in L(x) with (u, v) in R(t) }: the Image,
+    built out and renumbered breadth first."""
+    return _reachable(Image(t, x))
 
 
 def successors(t, u):

@@ -12,7 +12,7 @@ A trial merge builds no automaton.  It folds the union-find partition in
 place, logging each change, and judges the sample by walking its words
 through the classes (`_consistent`); a rejected merge is undone from the
 log.  The quotient DFA is built once per conjecture, for the kept
-partition, and once per trial only for an `on_merge` listener.
+partition.
 """
 
 import time
@@ -136,17 +136,14 @@ def _quotient_dfa(alphabet, parent, succ, accs):
     return _reachable(Dfa(alphabet, len(rows), tuple(rows), accepting))
 
 
-def merge_learn(s, solver=None, deadline=None, on_merge=None):
+def merge_learn(s, solver=None, deadline=None):
     """One conjecture: PTA of the chi closure, folded greedily.
 
     The closure is `check_contradiction`'s, so a contradictory sample raises
     ContradictionError; an implication whose consequent is infinite raises
     InfiniteBranchingError naming its vertex.  Each trial merge is judged
-    on the partition and undone when rejected, and the quotient DFA is
-    built once, for the kept partition.  `on_merge(dfa, ok)` is invoked
-    after every attempted merge with the trial quotient and the consistency
-    verdict; that quotient is built only when a listener is passed.  The
-    first passing merge is kept.
+    on the partition and undone when rejected; the first passing merge is
+    kept.  The quotient DFA is built once, for the kept partition.
     """
     closure = check_contradiction(s, solver, deadline)
     if closure is None:
@@ -162,10 +159,7 @@ def merge_learn(s, solver=None, deadline=None, on_merge=None):
             if parent[j] != j:
                 continue  # only representatives; merging with a member is the same merge
             log = _fold(parent, succ, accs, i, j)
-            ok = _consistent(s, parent, succ, accs)
-            if on_merge is not None:
-                on_merge(_quotient_dfa(s.alphabet, parent, succ, accs), ok)
-            if ok:
+            if _consistent(s, parent, succ, accs):
                 break
             _undo(parent, succ, accs, log)
     return _quotient_dfa(s.alphabet, parent, succ, accs)

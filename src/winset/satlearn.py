@@ -187,7 +187,7 @@ def build_dfa_constraints(book):
     for row in book.dt:
         for ds in row:
             clauses += _at_most_one(ds)
-            clauses.append(ds)
+            clauses.append(ds[:])  # a copy: the solver may reorder a clause in place
     return clauses
 
 

@@ -14,7 +14,9 @@ so identical inputs always produce identical counterexamples.
 
 Each check is one shortlex-least-word search over a product of the
 conjecture with game automata (`automata.product_word`); the product is
-walked as far as the search goes and never built.
+walked as far as the search goes and never built.  Checks 3 and 4 take
+pre-images under the edge relation as `relations.Image` operands, which are
+walked the same way, so the whole of each check reads the deadline.
 
 The checks take a compiled game (`compile_game`): the game together with
 the parts of the checks that depend only on the game, made once per run
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from .automata import Nfa, Product, Subsets, determinize, minimize, product_word, trim, union
 from .errors import SolveTimeout
 from .game import RationalSafetyGame
-from .relations import Transducer, image, invert, successors
+from .relations import Image, Transducer, invert, successors
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def check_safe(g, c, deadline=None):
 
 def check_existential(g, c, deadline=None):
     """Least u in L(c) ∩ V0 all of whose successors avoid L(c), with E({u})."""
-    has_succ_in_c = image(g.back_edges, c)
+    has_succ_in_c = Image(g.back_edges, c)
     u = product_word([c, g.game.v0], [has_succ_in_c], deadline)
     if u is None:
         return None
@@ -115,7 +117,7 @@ def check_existential(g, c, deadline=None):
 
 def check_universal(g, c, deadline=None):
     """Least u in L(c) ∩ V1 with some successor outside L(c), with E({u})."""
-    can_escape = image(g.back_edges, Product([g.vertices], [c]))
+    can_escape = Image(g.back_edges, Product([g.vertices], [c]))
     u = product_word([g.game.v1, c, can_escape], deadline=deadline)
     if u is None:
         return None

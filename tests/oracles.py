@@ -8,9 +8,10 @@ calls the library code it is used to judge.
 import itertools
 
 from winset.automata import Alphabet, Dfa, Nfa, check_word, from_words
+from winset import rpni
 from winset.game import RationalSafetyGame, validate_game
 from winset.relations import Transducer
-from winset.sample import Sample
+from winset.sample import Sample, is_consistent
 
 
 def all_words(symbol_count, max_len):
@@ -323,6 +324,24 @@ def product_word_brute(positive, negative, max_len):
         if all(member(a, w) for a in positive) and not any(member(b, w) for b in negative):
             return w
     return None
+
+
+def audit_merges(monkeypatch):
+    """Judge every rpni merge verdict again, for as long as `monkeypatch`
+    holds: `rpni._consistent` is wrapped so that each verdict, taken on the
+    partition, is recorded next to `is_consistent`'s (verdict, witness) on
+    the trial quotient DFA.  Returns the list the pairs go to."""
+    audits = []
+    consistent = rpni._consistent
+
+    def audited(s, parent, succ, accs):
+        ok = consistent(s, parent, succ, accs)
+        trial = rpni._quotient_dfa(s.alphabet, parent, succ, accs)
+        audits.append((ok, is_consistent(trial, s)))
+        return ok
+
+    monkeypatch.setattr(rpni, "_consistent", audited)
+    return audits
 
 
 def random_sample_parts(rng, symbol_count=2, max_len=3, max_consequent=2):

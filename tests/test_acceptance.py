@@ -36,6 +36,7 @@ from winset.teacher import Positive, query
 
 from oracles import (
     accepts_pair,
+    audit_merges,
     all_words,
     exists_consistent_dfa,
     language_upto,
@@ -240,7 +241,7 @@ def live_states(d):
     return len(alive)
 
 
-def test_7_state_merging_structure():
+def test_7_state_merging_structure(monkeypatch):
     AB = Alphabet(("a", "b"))
     rng = random.Random(0)
     ok = True
@@ -252,13 +253,14 @@ def test_7_state_merging_structure():
             continue  # no automaton of any size fits those
         s = make_sample(AB, pos, neg, (), ())
         universe = set(pos) | set(neg)
-        attempts = []
-        d = merge_learn(s, on_merge=lambda cand, kept: attempts.append((cand, kept)))
+        with monkeypatch.context() as m:
+            audits = audit_merges(m)
+            d = merge_learn(s)
         ok = ok and is_consistent(d, s)[0]
         ok = ok and live_states(d) <= len(universe)
-        for cand, kept in attempts:
-            ok = ok and kept == is_consistent(cand, s)[0]
-        attempts_total += len(attempts)
+        for kept, (real, _) in audits:
+            ok = ok and kept == real
+        attempts_total += len(audits)
         done += 1
         if not ok:
             break

@@ -17,7 +17,6 @@ from winset.automata import (
     intersect,
     minimize,
     product_word,
-    shortest_word,
     to_dot,
     trim,
     union,
@@ -135,7 +134,7 @@ def test_intersect_with_own_complement_is_empty():
     rng = random.Random(11)
     for _ in range(20):
         a = random_nfa(rng, AB)
-        assert shortest_word(intersect(a, complement(determinize(a)).to_nfa())) is None
+        assert product_word([intersect(a, complement(determinize(a)).to_nfa())]) is None
 
 
 def test_boolean_ops_match_set_algebra():
@@ -164,10 +163,10 @@ def test_complement_flips_membership():
 
 
 def test_shortest_word_examples():
-    assert shortest_word(initial_nfa_k2()) == SEL.word("s l l")
-    assert shortest_word(Nfa(SEL, 1, 0, frozenset(), frozenset())) is None
+    assert product_word([initial_nfa_k2()]) == SEL.word("s l l")
+    assert product_word([Nfa(SEL, 1, 0, frozenset(), frozenset())]) is None
     two = from_words(SEL, [SEL.word("e l l"), SEL.word("e l l l")])
-    assert shortest_word(two) == SEL.word("e l l")
+    assert product_word([two]) == SEL.word("e l l")
 
 
 def test_shortest_word_agrees_with_brute_force():
@@ -176,7 +175,7 @@ def test_shortest_word_agrees_with_brute_force():
         a = random_nfa(rng, AB)
         bound = determinize(a).state_count
         brute = [w for w in all_words(2, bound) if nfa_accepts_brute(a, w)]
-        got = shortest_word(a)
+        got = product_word([a])
         if not brute:
             assert got is None
         else:
@@ -186,7 +185,7 @@ def test_shortest_word_agrees_with_brute_force():
 def test_shortest_word_breaks_ties_between_states_with_one_access_word():
     # 2 and 3 are both reached by b; the least accepted word goes on from 3
     a = Nfa(AB, 5, 0, frozenset({(0, 1, 2), (0, 1, 3), (2, 1, 4), (3, 0, 4)}), frozenset({4}))
-    assert shortest_word(a) == AB.word("b a")
+    assert product_word([a]) == AB.word("b a")
 
 
 def test_shortest_word_is_the_first_accepted_word_in_shortlex_order():
@@ -198,7 +197,7 @@ def test_shortest_word_is_the_first_accepted_word_in_shortlex_order():
             a = random_nfa(rng, alphabet, max_states=6)
             words = all_words(len(alphabet.symbols), a.state_count)
             brute = next((w for w in words if nfa_accepts_brute(a, w)), None)
-            assert shortest_word(a) == brute, a
+            assert product_word([a]) == brute, a
 
 
 # ------------------------------------------------------- finiteness
@@ -360,7 +359,7 @@ def test_to_dot_mentions_states():
 
 
 def test_product_word_breaks_ties_between_product_states_with_one_access_word():
-    # shortest_word's tie case, inside products: 2 and 3 share the word b,
+    # the one-automaton tie case, inside products: 2 and 3 share the word b,
     # and so do the product states they form with the other operands
     tie = Nfa(AB, 5, 0, frozenset({(0, 1, 2), (0, 1, 3), (2, 1, 4), (3, 0, 4)}), frozenset({4}))
     anything = Nfa(AB, 2, 0, frozenset((p, s, q) for p in (0, 1) for s in (0, 1) for q in (0, 1)),
@@ -394,7 +393,7 @@ def test_product_word_matches_built_products_and_brute_force():
             built = intersect(built, a)
         for b in negative:
             built = difference(built, b)
-        assert got == shortest_word(built), (positive, negative)
+        assert got == product_word([built]), (positive, negative)
         brute = product_word_brute(positive, negative, cap)
         # a least word walks a simple path of the product of the positive
         # operands with the subset constructions of the negative ones

@@ -4,11 +4,19 @@ import random
 
 import pytest
 
-from winset.automata import Alphabet, Nfa, accepts, from_words, union
+from winset.automata import Alphabet, Nfa, Product, accepts, from_words, product_word, union
 from winset.errors import AlphabetMismatchError
-from winset.relations import Transducer, image, invert, successors
+from winset.relations import Image, Transducer, image, invert, successors
 
-from oracles import accepts_pair, all_words, language_upto, pair_accepted_brute, random_transducer
+from oracles import (
+    accepts_pair,
+    all_words,
+    language_upto,
+    pair_accepted_brute,
+    random_dfa,
+    random_nfa,
+    random_transducer,
+)
 
 SEL = Alphabet(("s", "e", "l"))
 AB = Alphabet(("a", "b"))
@@ -123,3 +131,24 @@ def test_image_rejects_alphabet_mismatch():
     t = edge_transducer()
     with pytest.raises(AlphabetMismatchError):
         image(t, Nfa(AB, 1, 0, frozenset(), frozenset({0})))
+
+
+def test_product_word_over_an_image_matches_the_built_image():
+    # Image(t, x), walked on demand, as a positive and as a negative operand
+    # of a product search, against the same search over image(t, x); x is
+    # an Nfa, a Dfa or a Product, as in the teacher's checks 3 and 4
+    rng = random.Random(37)
+    found = 0
+    for trial in range(600):
+        t = random_transducer(rng, AB)
+        x = (random_nfa(rng, AB), random_dfa(rng, AB),
+             Product([random_nfa(rng, AB)], [random_dfa(rng, AB)]))[trial % 3]
+        other = random_nfa(rng, AB)
+        built = image(t, x)
+        want = [product_word([built]), product_word([other, built]),
+                product_word([other], [built])]
+        got = [product_word([Image(t, x)]), product_word([other, Image(t, x)]),
+               product_word([other], [Image(t, x)])]
+        assert got == want, (t, x, other)
+        found += sum(w is not None for w in got)
+    assert found > 450

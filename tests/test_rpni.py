@@ -15,6 +15,7 @@ from winset.sample import is_consistent
 from winset.teacher import query
 
 from oracles import (
+    audit_merges,
     dfa_accepts_brute,
     infinitely_branching_game,
     make_sample,
@@ -108,25 +109,22 @@ def test_merge_learn_with_implications_is_consistent():
         assert ok, item
 
 
-def test_on_merge_reports_the_real_consistency_verdict():
+def test_merge_verdicts_are_the_trial_quotients_verdicts(monkeypatch):
     a = AB.word("a")
     s = make_sample(AB, [a, AB.word("a a a")], [()], [], [])
-    attempts = []
-
-    def on_merge(d, ok):
-        real, _ = is_consistent(d, s)
+    audits = audit_merges(monkeypatch)
+    d = merge_learn(s)
+    for ok, (real, _) in audits:
         assert ok == real
-        attempts.append(ok)
-
-    d = merge_learn(s, on_merge=on_merge)
-    assert attempts and any(attempts) and not all(attempts)
+    verdicts = [ok for ok, _ in audits]
+    assert any(verdicts) and not all(verdicts)
     ok, _ = is_consistent(d, s)
     assert ok
 
 
-def test_on_merge_verdicts_with_implications():
+def test_merge_verdicts_with_implications(monkeypatch):
     # every verdict, taken on the partition, must be is_consistent's on the
-    # trial quotient; and listening must not change what is learned
+    # trial quotient; and auditing must not change what is learned
     rng = random.Random(2024)
     checked = attempts_total = by_implication = 0
     while checked < 100:
@@ -134,17 +132,17 @@ def test_on_merge_verdicts_with_implications():
         if not ex and not uni:
             continue
         s = make_sample(AB, pos, neg, ex, uni)
-        attempts = []
-        try:
-            d = merge_learn(s, on_merge=lambda cand, ok: attempts.append((cand, ok)))
-        except ContradictionError:
-            continue
+        with monkeypatch.context() as m:
+            audits = audit_merges(m)
+            try:
+                d = merge_learn(s)
+            except ContradictionError:
+                continue
         checked += 1
-        for cand, ok in attempts:
-            real, witness = is_consistent(cand, s)
+        for ok, (real, witness) in audits:
             assert ok == real, (s, witness)
             by_implication += witness is not None and witness[0] in ("ex", "uni")
-        attempts_total += len(attempts)
+        attempts_total += len(audits)
         assert merge_learn(s) == d
     assert attempts_total > 150 and by_implication > 20
 

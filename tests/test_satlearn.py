@@ -66,6 +66,20 @@ def test_dfa_constraint_clause_counts():
     assert len(clauses) == len(pairwise) + len(totality)
 
 
+def test_reordering_clauses_leaves_the_book_alone():
+    # a solver may reorder a clause's literals in place; no clause list may
+    # be a row of the book's d-table
+    s = make_sample(AB, [AB.word("a"), AB.word("a b")], [AB.word("b")], [], [])
+    cnf, book = build_formula(s, 2)
+    model = solve_internal(cnf)
+    dfa = extract_dfa(model, book)
+    dt = [[ds[:] for ds in row] for row in book.dt]
+    for clause in cnf.clauses:
+        clause.reverse()
+    assert book.dt == dt
+    assert extract_dfa(model, book) == dfa
+
+
 def test_z_layer_bound():
     a, b = AB.index("a"), AB.index("b")
     one_word = from_words(AB, [AB.word("a")])  # two states: eps, a

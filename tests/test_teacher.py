@@ -9,6 +9,8 @@ query seeded random conjectures on the paper games.
 import random
 import time
 
+import pytest
+
 from winset import learning, teacher
 from winset.automata import (
     Nfa,
@@ -19,10 +21,11 @@ from winset.automata import (
     from_words,
     intersect,
     minimize,
-    shortest_word,
+    product_word,
     union,
 )
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
+from winset.errors import SolveTimeout
 from winset.learning import LearnOptions, run_cegis
 from winset.rpni import learn_rpni
 from winset.satlearn import learn
@@ -205,7 +208,7 @@ def test_compiled_game_gives_the_same_counterexamples():
             c = minimize(determinize(c))
             cex = query(cg, c)
             assert cex == query(g, c), (name, i)
-            assert check_safe(cg, c) == shortest_word(difference(as_nfa(c), g.safe))
+            assert check_safe(cg, c) == product_word([difference(as_nfa(c), g.safe)])
             kinds.add(type(cex))
     assert kinds == {Positive, Negative, Existential, Universal, type(None)}
 
@@ -242,3 +245,18 @@ def test_a_deadline_stops_the_teacher_inside_a_check():
     assert cex == Negative(W("s" + " l" * (kprime + 1)))
     assert res.wall_time < min(0.01 + 0.25, full / 2)
     assert query(g, c, deadline=time.monotonic() + 3600) == cex
+
+
+def test_a_deadline_stops_the_existential_check_inside_its_image():
+    # with F itself as the conjecture (20 003 states), check 3 searches the
+    # pre-image of the conjecture to its end and finds nothing; the
+    # pre-image is walked by that search, so the search's deadline covers it
+    g = compile_game(generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": 20000})))
+    c = determinize(g.game.safe)
+    t0 = time.monotonic()
+    assert check_existential(g, c) is None
+    full = time.monotonic() - t0
+    t0 = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        check_existential(g, c, deadline=t0 + 0.02)
+    assert time.monotonic() - t0 < min(0.02 + 0.2, full / 2)
