@@ -2,7 +2,7 @@
 
 Exit codes: 0 solved/ok, 1 timeout or state-cap exhausted, 2 contradiction
 (no winning set covers I), 3 input or usage error (an unwritable output
-path included), 4 internal error.
+path included), 4 internal error, 141 stdout closed by its reader.
 """
 
 import argparse
@@ -315,7 +315,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        # the reader is gone, so is the output; what is still buffered for
+        # stdout goes to devnull, so the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # as a shell reports a command ended by SIGPIPE
     except (GameFormatError, InvariantViolation, InfiniteBranchingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

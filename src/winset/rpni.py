@@ -1,5 +1,5 @@
 """Heuristic learner: prefix tree of a chi-chosen positive closure, then
-greedy state merging guarded by the full sample-consistency test.
+greedy state merging guarded by a sample-consistency test.
 
 Merging follows the classic shortlex schedule: states are numbered by the
 shortlex order of their prefixes; state i tries to merge into each earlier
@@ -9,10 +9,11 @@ No minimality guarantee and no termination guarantee across CEGIS
 iterations — timeouts are a normal outcome for this learner.
 
 A trial merge builds no automaton.  It folds the union-find partition in
-place, logging each change, and judges the sample by walking its words
-through the classes (`_consistent`); a rejected merge is undone from the
-log.  The quotient DFA is built once per conjecture, for the kept
-partition.
+place, logging each change, and walks each sample word through the classes
+from its anchor, its longest prefix in the tree (`_consistent`); closure
+words are accepted by every quotient and are not walked.  A rejected merge
+is undone from the log.  The quotient DFA is built once per conjecture, for
+the kept partition.
 """
 
 import time
@@ -88,18 +89,46 @@ def _undo(parent, succ, accs, log):
             del low_map[sym]
 
 
-def _consistent(s, parent, succ, accs):
-    """`is_consistent`'s verdict (not its witness) on the partition's total
-    quotient.
-
-    Each word walks the classes from the class of the empty prefix; a
-    missing move is the quotient's sink, which rejects.  Every consequent
-    must be finite, as it is once `check_contradiction` returned a closure.
+def _anchors(s, closure, succ):
+    """The sample's words as `_consistent` walks them: the negative words'
+    anchors, and per implication its antecedent's and consequents' anchors.
+    A word's anchor is (the tree node of its longest prefix in the tree, the
+    rest of the word); `succ` must still be the plain tree.  Closure words
+    end on accepting nodes and folds only raise acceptance, so every
+    quotient accepts them: positive words, existential items with a
+    consequent in the closure, and universal consequents in it are left out.
     """
 
-    def accepted(w):
-        r = 0  # the least member, so the root, of the initial class
-        for sym in w:
+    def anchor(w):
+        node = 0
+        for i, sym in enumerate(w):
+            if sym not in succ[node]:
+                return node, w[i:]
+            node = succ[node][sym]
+        return node, ()
+
+    ex = [(anchor(u), list(map(anchor, finite_words(a)))) for (u, a) in s.ex
+          if closure.isdisjoint(finite_words(a))]
+    uni = [(anchor(u), vs) for (u, a) in s.uni
+           if (vs := [anchor(v) for v in finite_words(a) if v not in closure])]
+    return list(map(anchor, s.neg)), ex, uni
+
+
+def _consistent(s, anchors, parent, succ, accs):
+    """`is_consistent`'s verdict (not its witness) on the sample `s` for the
+    partition's total quotient, read from `anchors = _anchors(s, ...)` alone.
+
+    A word's run starts at its anchor node's class and walks the rest; a
+    missing move is the quotient's sink, which rejects.  This is exact:
+    after a fold the moves out of each class are deterministic, so for a
+    tree edge u -> ua the class of ua is the one u's class reaches on a.
+    """
+
+    def accepted(anchor):
+        r, rest = anchor
+        while parent[r] != r:
+            r = parent[r]
+        for sym in rest:
             r = succ[r].get(sym)
             if r is None:
                 return False
@@ -107,17 +136,19 @@ def _consistent(s, parent, succ, accs):
                 r = parent[r]
         return accs[r]
 
-    if not all(accepted(u) for u in s.pos):
-        return False
-    if any(accepted(u) for u in s.neg):
-        return False
-    for (u, a) in s.ex:
-        if accepted(u) and not any(accepted(v) for v in finite_words(a)):
+    for r, rest in anchors[0]:  # accepted(), inlined for the negative words
+        while parent[r] != r:
+            r = parent[r]
+        for sym in rest:
+            r = succ[r].get(sym)
+            if r is None:
+                break
+            while parent[r] != r:
+                r = parent[r]
+        if r is not None and accs[r]:
             return False
-    for (u, a) in s.uni:
-        if accepted(u) and not all(accepted(v) for v in finite_words(a)):
-            return False
-    return True
+    return (not any(accepted(u) and not any(map(accepted, vs)) for u, vs in anchors[1])
+            and not any(accepted(u) and not all(map(accepted, vs)) for u, vs in anchors[2]))
 
 
 def _quotient_dfa(alphabet, parent, succ, accs):
@@ -142,14 +173,16 @@ def merge_learn(s, solver=None, deadline=None):
     The closure is `check_contradiction`'s, so a contradictory sample raises
     ContradictionError; an implication whose consequent is infinite raises
     InfiniteBranchingError naming its vertex.  Each trial merge is judged
-    on the partition and undone when rejected; the first passing merge is
-    kept.  The quotient DFA is built once, for the kept partition.
+    on the partition, from anchors taken once on the plain tree, and undone
+    when rejected; the first passing merge is kept.  The quotient DFA is
+    built once, for the kept partition.
     """
     closure = check_contradiction(s, solver, deadline)
     if closure is None:
         u = next(u for (u, a) in s.ex + s.uni if finite_words(a) is None)
         raise InfiniteBranchingError(s.alphabet.text(u))
     parent, succ, accs = _singletons(from_words(s.alphabet, closure))
+    anchors = _anchors(s, closure, succ)
     for i in range(1, len(parent)):
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout("state merging hit the deadline")
@@ -159,7 +192,7 @@ def merge_learn(s, solver=None, deadline=None):
             if parent[j] != j:
                 continue  # only representatives; merging with a member is the same merge
             log = _fold(parent, succ, accs, i, j)
-            if _consistent(s, parent, succ, accs):
+            if _consistent(s, anchors, parent, succ, accs):
                 break
             _undo(parent, succ, accs, log)
     return _quotient_dfa(s.alphabet, parent, succ, accs)

@@ -334,8 +334,8 @@ def audit_merges(monkeypatch):
     audits = []
     consistent = rpni._consistent
 
-    def audited(s, parent, succ, accs):
-        ok = consistent(s, parent, succ, accs)
+    def audited(s, anchors, parent, succ, accs):
+        ok = consistent(s, anchors, parent, succ, accs)
         trial = rpni._quotient_dfa(s.alphabet, parent, succ, accs)
         audits.append((ok, is_consistent(trial, s)))
         return ok

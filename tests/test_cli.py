@@ -178,6 +178,31 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys
     assert err == "internal error: KeyError: 'no such state'\n"
 
 
+def test_a_closed_stdout_is_not_an_internal_error(tmp_path, monkeypatch, capsys):
+    # the reader of a pipe went away: exit 141, as for SIGPIPE, and say nothing
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    rc = main(["gen", "halfline", "--k", "2"])
+    err = capsys.readouterr().err
+    assert rc == 141
+    assert "internal error" not in err
+    os.write(fd, b"late output")  # the descriptor now leads to devnull
+    os.close(fd)
+    assert target.read_bytes() == b""
+
+
 def test_solve_missing_file(capsys):
     rc = main(["solve", "/nonexistent/x.game"])
     assert rc == 3

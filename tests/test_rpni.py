@@ -5,12 +5,22 @@ import random
 
 import pytest
 
-from winset.automata import Alphabet, from_words
+from winset.automata import Alphabet, accepts, from_words
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
 from winset.errors import ContradictionError, ExternalSolverError, InfiniteBranchingError
 from winset.learning import LearnOptions
 from winset.prop import solve_internal
-from winset.rpni import _fold, _singletons, _undo, learn_rpni, merge_learn
+from winset.rpni import (
+    _anchors,
+    _consistent,
+    _find,
+    _fold,
+    _quotient_dfa,
+    _singletons,
+    _undo,
+    learn_rpni,
+    merge_learn,
+)
 from winset.sample import is_consistent
 from winset.teacher import query
 
@@ -169,11 +179,42 @@ def test_undo_restores_the_partition():
     assert cascades > 20
 
 
+def test_a_run_from_the_anchor_is_the_run_from_the_root():
+    # a word is walked from the class of its longest prefix in the tree: for
+    # words in and off the tree that is the trial quotient's verdict
+    rng = random.Random(5151)
+    off_tree = 0
+    for _ in range(200):
+        words = [random_word(rng, 2, 5) for _ in range(rng.randint(1, 6))]
+        pta = from_words(AB, words)
+        parent, succ, accs = _singletons(pta)
+        probes = words + [random_word(rng, 2, 7) for _ in range(8)]
+        s = make_sample(AB, [], probes, [], [])
+        neg, _, _ = _anchors(s, frozenset(), succ)
+        off_tree += sum(rest != () for _, rest in neg)
+        for _ in range(rng.randint(0, 2)):  # some merges kept, as merging goes
+            roots = [x for x in range(len(parent)) if parent[x] == x]
+            if len(roots) > 1:
+                _fold(parent, succ, accs, *rng.sample(roots, 2))
+        roots = [x for x in range(len(parent)) if parent[x] == x]
+        if len(roots) > 1:
+            _fold(parent, succ, accs, *rng.sample(roots, 2))  # the trial
+        q = _quotient_dfa(AB, parent, succ, accs)
+        for w, a in zip(probes, neg):
+            assert _consistent(s, ([a], [], []), parent, succ, accs) != accepts(q, w), w
+        for node in pta.accepting:
+            assert accs[_find(parent, node)]
+    assert off_tree > 500
+
+
 # Reference outputs, taken when every trial merge was judged on a built
 # quotient DFA: a rollback that leaves a stray move or link behind can still
 # return a consistent DFA, but not these.
 PINNED = [
     ("evasion", {"start": 4}, 38, (1, 28, 4, 4),
+     ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
+     {5}),
+    ("evasion", {"start": 12}, 94, (1, 68, 12, 12),
      ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
      {5}),
     ("interval", {"k": 2, "kprime": 10}, 15, (1, 9, 1, 3),
