@@ -214,13 +214,13 @@ PINNED = [
     ("evasion", {"start": 4}, 38, (1, 28, 4, 4),
      ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
      {5}),
-    ("evasion", {"start": 12}, 94, (1, 68, 12, 12),
-     ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
-     {5}),
     ("interval", {"k": 2, "kprime": 10}, 15, (1, 9, 1, 3),
      ((1, 2, 3), (3, 3, 4), (3, 3, 5), (3, 3, 3), (3, 3, 6), (3, 3, 7), (3, 3, 8),
       (3, 3, 8), (3, 3, 3)),
      {6, 8}),
+    ("evasion", {"start": 12}, 94, (1, 68, 12, 12),
+     ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
+     {5}),
 ]
 
 
