@@ -76,12 +76,17 @@ def run_cegis(game, conjecture, tag, opts=None):
             if time.monotonic() > deadline:
                 return result("timeout")
             iterations += 1
+            # in a `finally`, so a call the deadline interrupts is counted too
             t0 = time.monotonic()
-            d = conjecture(s, solver, deadline)
-            solve_time += time.monotonic() - t0
+            try:
+                d = conjecture(s, solver, deadline)
+            finally:
+                solve_time += time.monotonic() - t0
             t0 = time.monotonic()
-            cex = query(compiled, d, deadline)
-            teacher_time += time.monotonic() - t0
+            try:
+                cex = query(compiled, d, deadline)
+            finally:
+                teacher_time += time.monotonic() - t0
             if cex is None:
                 return result("solved", d)
             grown = add(s, cex)

@@ -14,6 +14,14 @@ from its anchor, its longest prefix in the tree (`_consistent`); closure
 words are accepted by every quotient and are not walked.  A rejected merge
 is undone from the log.  The quotient DFA is built once per conjecture, for
 the kept partition.
+
+Across CEGIS iterations the learner replays the last conjecture's trial
+verdicts, after Dupont's incremental RPNI2 (ICGI 1996).  The sample only
+grows, and chi's closure mostly stays the same, so the tree and the
+schedule do too.  A verdict is a conjunction over the sample's items, so
+more items never turn a rejection into an acceptance, and an acceptance
+needs checking on the new items only.  Replaying stops at the first
+acceptance that the new items overturn (see `merge_learn`).
 """
 
 import time
@@ -21,7 +29,7 @@ import time
 from .automata import Dfa, _reachable, from_words
 from .errors import InfiniteBranchingError, SolveTimeout
 from .learning import run_cegis
-from .sample import check_contradiction, finite_words
+from .sample import Sample, check_contradiction, finite_words
 
 
 def _singletons(pta):
@@ -167,7 +175,13 @@ def _quotient_dfa(alphabet, parent, succ, accs):
     return _reachable(Dfa(alphabet, len(rows), tuple(rows), accepting))
 
 
-def merge_learn(s, solver=None, deadline=None):
+def _extends(s, old):
+    """Whether the sample `s` holds `old`'s items first, in `old`'s order."""
+    pairs = ((s.pos, old.pos), (s.neg, old.neg), (s.ex, old.ex), (s.uni, old.uni))
+    return all(new[:len(was)] == was for new, was in pairs)
+
+
+def merge_learn(s, solver=None, deadline=None, last=None):
     """One conjecture: PTA of the chi closure, folded greedily.
 
     The closure is `check_contradiction`'s, so a contradictory sample raises
@@ -176,13 +190,36 @@ def merge_learn(s, solver=None, deadline=None):
     on the partition, from anchors taken once on the plain tree, and undone
     when rejected; the first passing merge is kept.  The quotient DFA is
     built once, for the kept partition.
+
+    `last` (a dict kept by the caller) carries the previous conjecture's
+    closure, sample, anchors and ordered trial verdicts.  When the closure
+    is the same and `s` extends that sample, the tree is the same, and the
+    verdicts are replayed while they hold: the partition at each trial is
+    then the recorded one.  A trial recorded as rejected is rejected
+    without a fold, since `s` still holds every item that rejected it.  A
+    trial recorded as accepted is folded and checked on the new items'
+    anchors only, since the old ones passed it.  The first such trial that
+    a new item rejects ends the replay, and every later trial is judged on
+    all anchors.  So each verdict is the one the full check gives, and the
+    output is that of a call without `last`.  Otherwise the schedule starts
+    fresh.  `last` is rewritten only once the merge loop is done.
     """
     closure = check_contradiction(s, solver, deadline)
     if closure is None:
         u = next(u for (u, a) in s.ex + s.uni if finite_words(a) is None)
         raise InfiniteBranchingError(s.alphabet.text(u))
     parent, succ, accs = _singletons(from_words(s.alphabet, closure))
-    anchors = _anchors(s, closure, succ)
+    replay = ()
+    if last and last["closure"] == closure and _extends(s, last["sample"]):
+        old = last["sample"]
+        new_items = Sample(s.alphabet, s.pos[len(old.pos):], s.neg[len(old.neg):],
+                           s.ex[len(old.ex):], s.uni[len(old.uni):])
+        fresh = _anchors(new_items, closure, succ)
+        anchors = tuple(was + new for was, new in zip(last["anchors"], fresh))
+        replay = last["verdicts"]
+    else:
+        anchors = _anchors(s, closure, succ)
+    verdicts = []
     for i in range(1, len(parent)):
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout("state merging hit the deadline")
@@ -191,14 +228,30 @@ def merge_learn(s, solver=None, deadline=None):
         for j in range(i):
             if parent[j] != j:
                 continue  # only representatives; merging with a member is the same merge
+            k = len(verdicts)
+            replaying = k < len(replay)
+            if replaying and not replay[k]:
+                verdicts.append(False)
+                continue
             log = _fold(parent, succ, accs, i, j)
-            if _consistent(s, anchors, parent, succ, accs):
+            ok = _consistent(s, fresh if replaying else anchors, parent, succ, accs)
+            if replaying and not ok:
+                replay = ()  # the partition leaves the recorded one here
+            verdicts.append(ok)
+            if ok:
                 break
             _undo(parent, succ, accs, log)
+    if last is not None:
+        last.update(closure=closure, sample=s, anchors=anchors, verdicts=verdicts)
     return _quotient_dfa(s.alphabet, parent, succ, accs)
 
 
 def learn_rpni(game, opts=None):
     """CEGIS with the merging learner; infinite branching is reported as an
     error naming the offending vertex."""
-    return run_cegis(game, merge_learn, "rpni", opts)
+    last = {}  # the previous conjecture's merge verdicts, replayed by the next
+
+    def conjecture(s, solver, deadline):
+        return merge_learn(s, solver, deadline, last)
+
+    return run_cegis(game, conjecture, "rpni", opts)

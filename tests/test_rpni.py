@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from winset import rpni
 from winset.automata import Alphabet, accepts, from_words
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
-from winset.errors import ContradictionError, ExternalSolverError, InfiniteBranchingError
+from winset.errors import ContradictionError, ExternalSolverError, InfiniteBranchingError, SolveTimeout
+from winset.game import serialize_dfa
 from winset.learning import LearnOptions
 from winset.prop import solve_internal
 from winset.rpni import (
@@ -205,6 +207,90 @@ def test_a_run_from_the_anchor_is_the_run_from_the_root():
         for node in pta.accepting:
             assert accs[_find(parent, node)]
     assert off_tree > 500
+
+
+def count_checks(monkeypatch):
+    """Count `rpni._consistent` calls, for as long as `monkeypatch` holds."""
+    calls = [0]
+    consistent = rpni._consistent
+
+    def counted(*args):
+        calls[0] += 1
+        return consistent(*args)
+
+    monkeypatch.setattr(rpni, "_consistent", counted)
+    return calls
+
+
+# evasion from the paper's start up to the benchmark's, and the other paper games
+REPLAY_GAMES = [("evasion", {"start": start}) for start in range(2, 13)] + [
+    ("halfline", {"k": 2}), ("interval", {"k": 2, "kprime": 9}),
+    ("diagonal", {}), ("box", {}), ("solitary-box", {}), ("follow", {}), ("program-repair", {}),
+]
+
+
+def test_replayed_verdicts_give_the_memoryless_conjectures(monkeypatch):
+    # every conjecture of learn_rpni, which replays the last one's verdicts,
+    # is the one merge_learn gives on the same sample without them
+    calls = count_checks(monkeypatch)
+    remembering = rpni.merge_learn
+    checks = {"replaying": 0, "memoryless": 0}
+    fresh_starts = replayed = 0
+
+    def compared(s, solver=None, deadline=None, last=None):
+        nonlocal fresh_starts, replayed
+        before = last.get("closure")
+        start = calls[0]
+        d = remembering(s, solver, deadline, last)
+        mid = calls[0]
+        assert serialize_dfa(remembering(s, solver)) == serialize_dfa(d)
+        checks["replaying"] += mid - start
+        checks["memoryless"] += calls[0] - mid
+        fresh_starts += before is not None and before != last["closure"]
+        replayed += len(last["verdicts"]) - (mid - start)  # trials judged without a check
+        return d
+
+    monkeypatch.setattr(rpni, "merge_learn", compared)
+    for name, params in REPLAY_GAMES:
+        res = learn_rpni(generate_benchmark(BenchmarkSpec(name, params)), LearnOptions(timeout=60))
+        assert res.outcome == "solved", name
+    assert fresh_starts > 0 and replayed > 0
+    assert checks["replaying"] < checks["memoryless"], checks
+
+
+def test_the_remembered_verdicts_are_dropped_off_their_sample_or_closure(monkeypatch):
+    calls = count_checks(monkeypatch)
+    w = AB.word
+    last = {}
+    merge_learn(make_sample(AB, [w("b")], [w("a"), w("b a"), w("b b")], [], []), last=last)
+    assert last["verdicts"] == [False]
+    # one negative word fewer: the same closure, but no extension of the
+    # sample, and its rejection of the first trial no longer holds
+    # then one positive word more: an extension, but another closure
+    for s in (make_sample(AB, [w("b")], [w("a"), w("b a")], [], []),
+              make_sample(AB, [w("b"), w("b b a")], [w("a"), w("b a")], [], [])):
+        start = calls[0]
+        d = merge_learn(s, last=last)
+        assert calls[0] - start == len(last["verdicts"])  # each trial checked
+        assert last["sample"] is s
+        assert serialize_dfa(d) == serialize_dfa(merge_learn(s))
+
+
+def test_a_timeout_inside_merging_leaves_the_remembered_verdicts(monkeypatch):
+    w = AB.word
+    s = make_sample(AB, [w("b")], [w("a"), w("b a")], [], [])
+    last = {}
+    merge_learn(s, last=last)
+    kept = dict(last)
+
+    def timed_out(*args):
+        raise SolveTimeout("state merging hit the deadline")
+
+    monkeypatch.setattr(rpni, "_consistent", timed_out)
+    grown = make_sample(AB, [w("b"), w("b b a")], [w("a"), w("b a")], [], [])
+    with pytest.raises(SolveTimeout):
+        merge_learn(grown, last=last)
+    assert all(last[key] is kept[key] for key in kept) and last.keys() == kept.keys()
 
 
 # Reference outputs, taken when every trial merge was judged on a built

@@ -247,6 +247,35 @@ def test_a_deadline_stops_the_teacher_inside_a_check():
     assert query(g, c, deadline=time.monotonic() + 3600) == cex
 
 
+def test_a_layer_the_deadline_interrupts_keeps_its_time():
+    # a timed-out run's layer times still cover its wall time, apart from
+    # the glue between the layers, whichever layer the deadline stops
+
+    def until_the_deadline(s, solver, deadline):
+        while time.monotonic() <= deadline:
+            pass
+        raise SolveTimeout("conjecture hit the deadline")
+
+    res = run_cegis(G, until_the_deadline, "spin", LearnOptions(timeout=0.2))
+    assert res.outcome == "timeout" and res.iterations == 1
+    assert res.solve_time > 0.15
+    assert res.wall_time - res.solve_time - res.teacher_time < 0.05
+
+    # check_safe on interval(1,20000) runs past a 0.05 s deadline
+    g = generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": 20000}))
+    c = dfa_of(tag_tail("s", 1))
+    res = run_cegis(g, lambda s, solver, deadline: c, "fixed", LearnOptions(timeout=0.05))
+    assert res.outcome == "timeout" and res.iterations == 1
+    assert res.teacher_time > 0.04
+    assert res.wall_time - res.solve_time - res.teacher_time < 0.05
+
+    # the sat learner's conjectures, from size 11 up, take seconds each here
+    g = generate_benchmark(BenchmarkSpec("interval", {"k": 3, "kprime": 50}))
+    res = learn(g, LearnOptions(timeout=0.5))
+    assert res.outcome == "timeout"
+    assert res.wall_time - res.solve_time - res.teacher_time < 0.05
+
+
 def test_a_deadline_stops_the_existential_check_inside_its_image():
     # with F itself as the conjecture (20 003 states), check 3 searches the
     # pre-image of the conjecture to its end and finds nothing; the
