@@ -32,6 +32,7 @@ game = validate_game(RationalSafetyGame(
 print("Moves: p -> q -> r -> r, with r unsafe and the play starting at p.")
 res = learn(game, LearnOptions(timeout=30.0))
 print(f"Outcome after {res.iterations} iterations: {res.outcome}")
+assert res.outcome == "contradiction", f"expected a contradiction, got {res.outcome}"
 
 print("\nThe sample that pinched the initial vertex:")
 for line in dump_sample(res.sample).splitlines():

@@ -1,4 +1,5 @@
-"""Finite-automata algebra: NFAs, DFAs, Boolean and closure operations.
+"""Finite automata: NFAs, DFAs, products walked on demand, union and the
+subset construction.
 
 Conventions used throughout the package:
   - a Word is a tuple of symbol indices into an Alphabet;
@@ -19,8 +20,7 @@ as `relations.Image`), read through its move table; and the complement of
 such an automaton, determinized on demand by a `Subsets` whose rows are
 filled only when the search reaches them.  Acceptance is only ever
 tested by membership (`in`).
-`intersect`, `difference` and `determinize` build the same objects out in
-full.
+`_reachable` builds a product out in full, and `determinize` a Subsets.
 """
 
 import time
@@ -365,19 +365,6 @@ def _reachable(a):
     return Nfa(a.alphabet, len(order), 0, trans, accepting)
 
 
-def complement(d):
-    """Complement of a total DFA (flip accepting); output trimmed to reachable states."""
-    if not isinstance(d, Dfa):
-        raise TypeError("complement requires a (total) Dfa; determinize first")
-    flipped = Dfa(d.alphabet, d.state_count, d.delta, frozenset(range(d.state_count)) - d.accepting)
-    return _reachable(flipped)
-
-
-def intersect(a, b):
-    """Product automaton, restricted to reachable pairs."""
-    return _reachable(Product([a, b]))
-
-
 def union(a, b):
     """Disjoint sum behind a fresh initial state (no epsilon moves needed)."""
     _check_same_alphabet(a, b)
@@ -399,11 +386,6 @@ def union(a, b):
     accepting |= {q + off_b for q in b.accepting}
     out = Nfa(a.alphabet, 1 + a.state_count + b.state_count, 0, frozenset(trans), frozenset(accepting))
     return _reachable(out)
-
-
-def difference(a, b):
-    """L(a) \\ L(b): the product of a with the complement of b, built."""
-    return _reachable(Product([a], [b]))
 
 
 def product_word(positive, negative=(), deadline=None):
@@ -517,47 +499,6 @@ def finite_words(a):
                 out.update((sym,) + w for w in suffixes[q])
             suffixes[p] = out
     return tuple(sorted(suffixes[a.initial], key=shortlex_key))
-
-
-def minimize(d):
-    """Minimum-state total DFA, states renumbered by BFS so output is canonical."""
-    d = _reachable(d)
-    n = d.state_count
-    nsym = len(d.alphabet)
-    block = [1 if q in d.accepting else 0 for q in range(n)]
-    while True:
-        sigs = {}
-        new_block = [0] * n
-        for q in range(n):
-            sig = (block[q],) + tuple(block[d.delta[q][sym]] for sym in range(nsym))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block[q] = sigs[sig]
-        if new_block == block:
-            break
-        block = new_block
-    # block 0 holds state 0, so the reachable trim of the quotient numbers
-    # its blocks breadth-first from the initial one
-    rep = {block[q]: q for q in range(n)}
-    delta = tuple(
-        tuple(block[d.delta[rep[b]][sym]] for sym in range(nsym)) for b in range(len(rep))
-    )
-    accepting = frozenset(block[q] for q in d.accepting)
-    return _reachable(Dfa(d.alphabet, len(rep), delta, accepting))
-
-
-def trim(a):
-    """Drop states not on an accepting path; the initial state is always kept."""
-    a = as_nfa(a)
-    live = _coreachable(a) | {a.initial}  # _reachable drops the rest
-    kept = Nfa(
-        a.alphabet,
-        a.state_count,
-        a.initial,
-        frozenset((p, s, q) for (p, s, q) in a.transitions if p in live and q in live),
-        frozenset(q for q in a.accepting if q in live),
-    )
-    return _reachable(kept)
 
 
 def from_words(alphabet, words):

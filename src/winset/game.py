@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, product_word
 from .errors import GameFormatError, InvalidWordError, InvariantViolation
-from .relations import Transducer
+from .relations import Transducer, transition_key
 
 SECTIONS = ("alphabet", "v0", "v1", "edges", "safe", "initial")
 DFA_SECTIONS = ("alphabet", "dfa")
@@ -207,8 +207,7 @@ def serialize_game(g):
     out.append(f"states: {g.edges.state_count}")
     out.append(f"initial: {g.edges.initial}")
     out.append("accepting: " + " ".join(str(q) for q in sorted(g.edges.accepting)))
-    key = lambda tr: (tr[0], -1 if tr[1] is None else tr[1], -1 if tr[2] is None else tr[2], tr[3])
-    for (p, a, b, q) in sorted(g.edges.transitions, key=key):
+    for (p, a, b, q) in sorted(g.edges.transitions, key=transition_key):
         out.append(f"{p} {_label_text(g.alphabet, a)}/{_label_text(g.alphabet, b)} {q}")
     out.append("")
     _dump_nfa(out, "safe", g.safe)

@@ -46,9 +46,20 @@ class Transducer:
                 raise ValueError(f"accepting state out of range: {q}")
 
 
+def transition_key(tr):
+    """Sort key for transducer transitions, ε (None) labels as -1: a
+    frozenset of tuples holding None iterates in an order that changes
+    from one interpreter run to the next, since hash(None) does."""
+    p, a, b, q = tr
+    return (p, -1 if a is None else a, -1 if b is None else b, q)
+
+
 def _out_edges(t):
+    """state -> its (in, out, target) moves, in `transition_key` order, so
+    that an Image's rows, and the states `image` numbers from them, come
+    out the same in every run."""
     table = {}
-    for (p, a, b, q) in t.transitions:
+    for (p, a, b, q) in sorted(t.transitions, key=transition_key):
         table.setdefault(p, []).append((a, b, q))
     return table
 

@@ -372,14 +372,6 @@ def build_symmetry(book):
     return out
 
 
-def build_formula(sample, n):
-    """The CNF for φ_n over the sample, BFS predicates included: a fresh
-    book extended by the sample.  Returns (CnfInstance, VarBook)."""
-    book = VarBook(sample.alphabet, n)
-    book.extend(sample)
-    return book.cnf, book
-
-
 def extract_dfa(model, book):
     """Definition-5 readout: delta from d-variables, accepting from f."""
     n = book.n

@@ -32,7 +32,7 @@ past which it raises SolveTimeout.
 import time
 from dataclasses import dataclass
 
-from .automata import Nfa, Product, Subsets, determinize, minimize, product_word, trim, union
+from .automata import Nfa, Product, Subsets, product_word, union
 from .errors import SolveTimeout
 from .game import RationalSafetyGame
 from .relations import Image, Transducer, invert, successors
@@ -72,8 +72,9 @@ class Negative:
 
 @dataclass(frozen=True)
 class Existential:
-    """Antecedent word and its exact successor language: keeping `word` in the
-    conjecture requires keeping at least one word of `consequent` too."""
+    """Antecedent word and its exact successor language, the Nfa that
+    `relations.successors` builds: keeping `word` in the conjecture
+    requires keeping at least one word of `consequent` too."""
 
     word: tuple
     consequent: Nfa
@@ -85,15 +86,6 @@ class Universal:
 
     word: tuple
     consequent: Nfa
-
-
-def normalize_consequent(a):
-    """Canonical form for implication consequents: minimal DFA, dead sink cut.
-
-    Language-equal consequents become structurally equal values, which makes
-    sample deduplication exact and keeps SAT encodings small.
-    """
-    return trim(minimize(determinize(a)))
 
 
 def check_initial(g, c, deadline=None):
@@ -112,7 +104,7 @@ def check_existential(g, c, deadline=None):
     u = product_word([c, g.game.v0], [has_succ_in_c], deadline)
     if u is None:
         return None
-    return u, normalize_consequent(successors(g.game.edges, u))
+    return u, successors(g.game.edges, u)
 
 
 def check_universal(g, c, deadline=None):
@@ -121,7 +113,7 @@ def check_universal(g, c, deadline=None):
     u = product_word([g.game.v1, c, can_escape], deadline=deadline)
     if u is None:
         return None
-    return u, normalize_consequent(successors(g.game.edges, u))
+    return u, successors(g.game.edges, u)
 
 
 def query(g, c, deadline=None):

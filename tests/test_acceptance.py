@@ -13,13 +13,12 @@ import pytest
 
 from winset.automata import (
     Alphabet,
+    Nfa,
+    Product,
+    _reachable,
     accepts,
-    complement,
     determinize,
-    difference,
     from_words,
-    intersect,
-    minimize,
     union,
 )
 from winset.benchmarks import BenchmarkSpec, game_size, generate_benchmark, halfline_game
@@ -30,7 +29,7 @@ from winset.prop import CnfInstance, solve_internal
 from winset.relations import image, invert
 from winset.rpni import learn_rpni, merge_learn
 from winset.sample import is_consistent
-from winset.satlearn import build_formula, extract_dfa
+from winset.satlearn import VarBook, extract_dfa
 from winset.satlearn import learn as learn_sat
 from winset.teacher import Positive, query
 
@@ -94,7 +93,7 @@ def test_1_worked_example_boundary_game(sat_runs, tmp_path):
     conds = [res.outcome == "solved", elapsed < 10.0]
 
     # the empty conjecture draws the initial vertex as the first response
-    empty = minimize(determinize(from_words(A, [])))
+    empty = determinize(from_words(A, []))
     conds.append(query(g, empty) == Positive(A.word("s l l")))
 
     d = res.dfa
@@ -120,7 +119,9 @@ def test_2_returned_sizes_are_minimal(sat_runs):
         n = res.dfa.state_count
         if n == 1:
             continue  # nothing below one state
-        cnf, book = build_formula(res.sample, n - 1)
+        book = VarBook(g.alphabet, n - 1)
+        book.extend(res.sample)
+        cnf = book.cnf
         # the plain clause list alone: the proof must not lean on the BFS
         # predicates the learner used, and each of them mentions t, p or m
         sym = set(book.symmetry_vars)
@@ -174,7 +175,9 @@ def test_4_sat_encoding_matches_enumeration():
         pos, neg, ex, uni = random_sample_parts(rng)
         s = make_sample(AB, pos, neg, ex, uni)
         for n in (1, 2, 3):
-            cnf, book = build_formula(s, n)
+            book = VarBook(AB, n)
+            book.extend(s)
+            cnf = book.cnf
             model = solve_internal(cnf)
             ok = ok and (model is not None) == exists_consistent_dfa(2, n, pos, neg, ex, uni)
             if model is not None:
@@ -273,19 +276,21 @@ def test_8_micro_oracles():
     ok = True
     rng = random.Random(8)
 
-    # boolean operations against set algebra on brute-force membership
+    # union and the products the teacher walks, built out, against set
+    # algebra on brute-force membership
     for alphabet, max_len, rounds in ((Alphabet(("a", "b")), 5, 12),
                                       (Alphabet(("a", "b", "c")), 4, 8)):
         k = len(alphabet.symbols)
         every = set(all_words(k, max_len))
+        sigma_star = Nfa(alphabet, 1, 0, frozenset((0, x, 0) for x in range(k)), frozenset({0}))
         for _ in range(rounds):
             a = random_nfa(rng, alphabet)
             b = random_nfa(rng, alphabet)
             la, lb = language_upto(a, max_len), language_upto(b, max_len)
             ok = ok and language_upto(union(a, b), max_len) == la | lb
-            ok = ok and language_upto(intersect(a, b), max_len) == la & lb
-            ok = ok and language_upto(difference(a, b), max_len) == la - lb
-            ok = ok and language_upto(complement(determinize(a)), max_len) == every - la
+            ok = ok and language_upto(_reachable(Product([a, b])), max_len) == la & lb
+            ok = ok and language_upto(_reachable(Product([a], [b])), max_len) == la - lb
+            ok = ok and language_upto(_reachable(Product([sigma_star], [a])), max_len) == every - la
 
     # images and pair acceptance against the worklist oracle
     AB = Alphabet(("a", "b"))

@@ -8,17 +8,14 @@ from winset.automata import (
     Alphabet,
     Dfa,
     Nfa,
+    Product,
+    _reachable,
     accepts,
-    complement,
     determinize,
-    difference,
     finite_words,
     from_words,
-    intersect,
-    minimize,
     product_word,
     to_dot,
-    trim,
     union,
 )
 from winset.errors import InvalidWordError
@@ -40,15 +37,6 @@ SEL = Alphabet(("s", "e", "l"))
 def v0_nfa():
     # s followed by any number of l
     return Nfa(SEL, 2, 0, frozenset({(0, 0, 1), (1, 2, 1)}), frozenset({1}))
-
-
-def safe_nfa_k2():
-    # (s|e) l l l*
-    return Nfa(
-        SEL, 4, 0,
-        frozenset({(0, 0, 1), (0, 1, 1), (1, 2, 2), (2, 2, 3), (3, 2, 3)}),
-        frozenset({3}),
-    )
 
 
 def initial_nfa_k2():
@@ -121,12 +109,20 @@ def test_determinize_matches_brute_membership():
             assert accepts(d, w) == nfa_accepts_brute(a, w), (a, w)
 
 
-# ------------------------------------------------------------ boolean ops
+# ---------------------------------------------- union and built products
+# `_reachable(Product(positive, negative))` builds out the product the
+# teacher's searches walk: with no negative operand, the words all the
+# positive ones accept; with Σ* as the one positive operand, the words the
+# negative one rejects.
+
+
+def ab_star():
+    return Nfa(AB, 1, 0, frozenset({(0, 0, 0), (0, 1, 0)}), frozenset({0}))
 
 
 def test_difference_initial_minus_empty():
     empty = Nfa(SEL, 1, 0, frozenset(), frozenset())
-    got = difference(initial_nfa_k2(), empty)
+    got = _reachable(Product([initial_nfa_k2()], [empty]))
     assert language_upto(got, 5) == {(0, 2, 2), (0, 2, 2, 2), (0, 2, 2, 2, 2)}
 
 
@@ -134,7 +130,8 @@ def test_intersect_with_own_complement_is_empty():
     rng = random.Random(11)
     for _ in range(20):
         a = random_nfa(rng, AB)
-        assert product_word([intersect(a, complement(determinize(a)).to_nfa())]) is None
+        others = _reachable(Product([ab_star()], [determinize(a)]))
+        assert product_word([_reachable(Product([a, others]))]) is None
 
 
 def test_boolean_ops_match_set_algebra():
@@ -146,15 +143,15 @@ def test_boolean_ops_match_set_algebra():
         la = {w for w in words if nfa_accepts_brute(a, w)}
         lb = {w for w in words if nfa_accepts_brute(b, w)}
         assert {w for w in words if accepts(union(a, b), w)} == la | lb
-        assert {w for w in words if accepts(intersect(a, b), w)} == la & lb
-        assert {w for w in words if accepts(difference(a, b), w)} == la - lb
+        assert {w for w in words if accepts(_reachable(Product([a, b])), w)} == la & lb
+        assert {w for w in words if accepts(_reachable(Product([a], [b])), w)} == la - lb
 
 
 def test_complement_flips_membership():
     rng = random.Random(17)
     for _ in range(20):
         d = determinize(random_nfa(rng, AB))
-        c = complement(d)
+        c = _reachable(Product([ab_star()], [d]))
         for w in all_words(2, 5):
             assert accepts(c, w) != accepts(d, w)
 
@@ -254,49 +251,6 @@ def test_finite_words_is_shortlex_sorted_and_complete():
                                   if nfa_accepts_brute(a, w)}
 
 
-# --------------------------------------------------------------- minimize
-
-
-def test_minimize_empty_language():
-    d = Dfa(AB, 3, ((1, 2), (2, 1), (0, 0)), frozenset())
-    m = minimize(d)
-    assert m.state_count == 1
-    assert not m.accepting
-
-
-def test_minimize_safe_automaton():
-    # distinct residuals of (s|e) l l l*: start, one tag read, one l read,
-    # the accepting l-loop, and the dead sink -- five states in total
-    m = minimize(determinize(safe_nfa_k2()))
-    assert m.state_count == 5
-    assert language_upto(m, 6) == language_upto(safe_nfa_k2(), 6)
-
-
-def test_minimize_idempotent_and_canonical():
-    rng = random.Random(31)
-    for _ in range(30):
-        d = determinize(random_nfa(rng, AB))
-        m = minimize(d)
-        assert minimize(m) == m
-        for w in all_words(2, 5):
-            assert accepts(m, w) == accepts(d, w)
-
-
-def test_minimize_reaches_residual_count():
-    # state count never exceeds the number of distinct bounded residuals is
-    # not true in general, but equality holds on these fixed machines
-    rng = random.Random(37)
-    for _ in range(20):
-        d = determinize(random_nfa(rng, AB, max_states=3))
-        m = minimize(d)
-        words = all_words(2, 3)
-        residuals = {
-            frozenset(s for s in all_words(2, 3) if accepts(d, w + s))
-            for w in words
-        }
-        assert m.state_count >= len(residuals)
-
-
 # ------------------------------------------------------------- builders
 
 
@@ -342,13 +296,6 @@ def test_from_words_accepts_exactly_its_words():
             assert accepts(t, probe) == (probe in words)
 
 
-def test_trim_drops_useless_states():
-    a = Nfa(AB, 4, 0, frozenset({(0, 0, 1), (2, 0, 3)}), frozenset({1}))
-    t = trim(a)
-    assert t.state_count == 2
-    assert language_upto(t, 3) == {(0,)}
-
-
 def test_to_dot_mentions_states():
     text = to_dot(determinize(v0_nfa()))
     assert "digraph" in text
@@ -390,9 +337,9 @@ def test_product_word_matches_built_products_and_brute_force():
         got = product_word(positive, negative)
         built = positive[0]
         for a in positive[1:]:
-            built = intersect(built, a)
+            built = _reachable(Product([built, a]))
         for b in negative:
-            built = difference(built, b)
+            built = _reachable(Product([built], [b]))
         assert got == product_word([built]), (positive, negative)
         brute = product_word_brute(positive, negative, cap)
         # a least word walks a simple path of the product of the positive

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, minimize
+from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words
 from winset.benchmarks import halfline_game
 from winset.cli import CSV_COLUMNS, STATS_COLUMNS, main
 from winset.game import RationalSafetyGame, parse_game, serialize_dfa, serialize_game
@@ -227,7 +227,7 @@ def test_verify_flags_existential_hole(tmp_path, capsys):
     # {s l^n | n >= 2} keeps Player-0 words but none of their e-successors
     g = halfline_game(2)
     game = write_halfline(tmp_path)
-    half = minimize(determinize(tag_tail(g.alphabet, "s", 2)))
+    half = determinize(tag_tail(g.alphabet, "s", 2))
     p = tmp_path / "half.dfa"
     p.write_text(serialize_dfa(half), encoding="utf-8")
     rc = main(["verify", game, str(p)])
@@ -240,7 +240,7 @@ def test_verify_flags_existential_hole(tmp_path, capsys):
 def test_verify_flags_missing_initial(tmp_path, capsys):
     g = halfline_game(2)
     game = write_halfline(tmp_path)
-    empty = minimize(determinize(from_words(g.alphabet, [])))
+    empty = determinize(from_words(g.alphabet, []))
     p = tmp_path / "empty.dfa"
     p.write_text(serialize_dfa(empty), encoding="utf-8")
     rc = main(["verify", game, str(p)])
@@ -253,7 +253,7 @@ def test_verify_flags_missing_initial(tmp_path, capsys):
 def test_verify_rejects_partial_dfa(tmp_path, capsys):
     g = halfline_game(2)
     game = write_halfline(tmp_path)
-    half = minimize(determinize(tag_tail(g.alphabet, "s", 2)))
+    half = determinize(tag_tail(g.alphabet, "s", 2))
     text = serialize_dfa(half)
     p = tmp_path / "cut.dfa"
     p.write_text("\n".join(text.splitlines()[:-1]), encoding="utf-8")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from winset.automata import Alphabet, Dfa, accepts, determinize, minimize
+from winset.automata import Alphabet, Dfa, accepts, determinize
 from winset.benchmarks import BenchmarkSpec, generate_benchmark
 from winset.errors import GameFormatError, InvariantViolation
 from winset.game import (
@@ -103,7 +103,7 @@ def test_syntax_errors_carry_line_numbers():
 
 def test_dfa_file_roundtrip():
     g = halfline(2)
-    d = minimize(determinize(g.safe))
+    d = determinize(g.safe)
     text = serialize_dfa(d)
     back = parse_dfa(text)
     assert back == d

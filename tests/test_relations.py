@@ -1,8 +1,14 @@
 """Transducer tests: pair acceptance, inversion, images, successor sets."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import winset
 
 from winset.automata import Alphabet, Nfa, Product, accepts, from_words, product_word, union
 from winset.errors import AlphabetMismatchError
@@ -125,6 +131,27 @@ def test_successors_examples():
     assert language_upto(successors(t, SEL.word("e")), 4) == {SEL.word("s")}
     none = Transducer(SEL, 1, 0, frozenset(), frozenset())
     assert language_upto(successors(none, SEL.word("s")), 4) == set()
+
+
+SUCCESSORS_OF_ONE_WORD = """
+from winset.benchmarks import BenchmarkSpec, generate_benchmark
+from winset.relations import successors
+g = generate_benchmark(BenchmarkSpec("evasion"))
+a = successors(g.edges, g.alphabet.word("s l l . l"))
+print(a.state_count, a.initial, sorted(a.transitions), sorted(a.accepting))
+"""
+
+
+def test_successors_are_numbered_alike_in_every_process():
+    # an ε label is None, whose hash, and with it a transition set's
+    # iteration order, can change from one interpreter run to the next
+    src = str(Path(winset.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = {subprocess.run([sys.executable, "-c", SUCCESSORS_OF_ONE_WORD], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for _ in range(3)}
+    assert len(runs) == 1, runs
+    assert runs.pop().startswith("16 0 ")
 
 
 def test_image_rejects_alphabet_mismatch():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, minimize, union
+from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, union
 from winset.errors import ContradictionError
 from winset.prop import solve_internal
 from winset.sample import (
@@ -19,7 +19,7 @@ from winset.sample import (
     empty_sample,
     is_consistent,
 )
-from winset.teacher import Existential, Negative, Positive, normalize_consequent
+from winset.teacher import Existential, Negative, Positive
 
 from oracles import exists_consistent_dfa, make_sample, random_sample_parts, sample_holds_brute
 
@@ -36,14 +36,10 @@ def tag_tail(tag, k):
     return Nfa(SEL, k + 2, 0, frozenset(trans), frozenset({k + 1}))
 
 
-def dfa_of(nfa):
-    return minimize(determinize(nfa))
-
-
 def example_trace_sample():
     """pos = {s l l}, ex = {(s l l, {e l l, e l l l})}: what the teacher
     hands out on the half-line game before the final conjecture."""
-    conseq = normalize_consequent(from_words(SEL, [W("e l l"), W("e l l l")]))
+    conseq = from_words(SEL, [W("e l l"), W("e l l l")])
     s = add(empty_sample(SEL), Positive(W("s l l")))
     return add(s, Existential(W("s l l"), conseq))
 
@@ -53,7 +49,7 @@ def test_add_and_dedup():
     assert s.pos == (W("s l l"),)
     s2 = add(add(s, Negative(W("s"))), Negative(W("s")))
     assert s2.neg == (W("s"),)
-    conseq = normalize_consequent(from_words(SEL, [W("e l l")]))
+    conseq = from_words(SEL, [W("e l l")])
     s3 = add(s2, Existential(W("s l l"), conseq))
     assert len(s3.ex) == 1
     assert add(s3, Existential(W("s l l"), conseq)) is s3
@@ -62,8 +58,8 @@ def test_add_and_dedup():
 
 def test_is_consistent_on_the_halfline_trace():
     s = example_trace_sample()
-    winning = dfa_of(union(tag_tail("s", 2), tag_tail("e", 3)))
-    half = dfa_of(tag_tail("s", 2))
+    winning = determinize(union(tag_tail("s", 2), tag_tail("e", 3)))
+    half = determinize(tag_tail("s", 2))
     ok, _ = is_consistent(winning, s)
     assert ok
     ok, item = is_consistent(half, s)

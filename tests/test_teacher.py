@@ -12,18 +12,7 @@ import time
 import pytest
 
 from winset import learning, teacher
-from winset.automata import (
-    Nfa,
-    as_nfa,
-    determinize,
-    difference,
-    finite_words,
-    from_words,
-    intersect,
-    minimize,
-    product_word,
-    union,
-)
+from winset.automata import Nfa, Product, _reachable, determinize, finite_words, from_words, union
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
 from winset.errors import SolveTimeout
 from winset.learning import LearnOptions, run_cegis
@@ -39,20 +28,21 @@ from winset.teacher import (
     check_safe,
     check_universal,
     compile_game,
-    normalize_consequent,
     query,
 )
 
-from oracles import all_words, dfa_accepts_brute, pair_accepted_brute, random_nfa
+from oracles import (
+    all_words,
+    dfa_accepts_brute,
+    pair_accepted_brute,
+    product_word_brute,
+    random_nfa,
+)
 
 G = halfline_game(2)
 CG = compile_game(G)
 A = G.alphabet
 W = A.word
-
-
-def dfa_of(nfa):
-    return minimize(determinize(nfa))
 
 
 def tag_tail(tag, k):
@@ -64,27 +54,27 @@ def tag_tail(tag, k):
     return Nfa(A, k + 2, 0, frozenset(trans), frozenset({k + 1}))
 
 
-EMPTY = dfa_of(from_words(A, []))
-HALF = dfa_of(tag_tail("s", 2))                       # {s l^n | n >= 2}
-WINNING = dfa_of(union(tag_tail("s", 2), tag_tail("e", 3)))
-SIGMA_STAR = dfa_of(Nfa(A, 1, 0, frozenset((0, a, 0) for a in range(3)), frozenset({0})))
+EMPTY = determinize(from_words(A, []))
+HALF = determinize(tag_tail("s", 2))                       # {s l^n | n >= 2}
+WINNING = determinize(union(tag_tail("s", 2), tag_tail("e", 3)))
+SIGMA_STAR = determinize(Nfa(A, 1, 0, frozenset((0, a, 0) for a in range(3)), frozenset({0})))
 
 
-def consequent_of(*texts):
-    return normalize_consequent(from_words(A, [W(t) for t in texts]))
+def words(*texts):
+    return tuple(map(W, texts))
 
 
 def test_check_initial():
     assert check_initial(CG, EMPTY) == W("s l l")
-    assert check_initial(CG, dfa_of(G.initial)) is None
+    assert check_initial(CG, determinize(G.initial)) is None
     assert check_initial(CG, SIGMA_STAR) is None
 
 
 def test_check_safe():
-    only_sl = dfa_of(from_words(A, [W("s l")]))
+    only_sl = determinize(from_words(A, [W("s l")]))
     assert check_safe(CG, only_sl) == W("s l")
     assert check_safe(CG, WINNING) is None      # L(c) inside F
-    assert check_safe(CG, dfa_of(G.safe)) is None
+    assert check_safe(CG, determinize(G.safe)) is None
 
 
 def test_check_existential():
@@ -92,18 +82,18 @@ def test_check_existential():
     assert hit is not None
     u, conseq = hit
     assert u == W("s l l")
-    assert conseq == consequent_of("e l l", "e l l l")
+    assert finite_words(conseq) == words("e l l", "e l l l")
     assert check_existential(CG, EMPTY) is None   # vacuous
     assert check_existential(CG, WINNING) is None
 
 
 def test_check_universal():
-    c = dfa_of(union(tag_tail("s", 2), from_words(A, [W("e l l")])))
+    c = determinize(union(tag_tail("s", 2), from_words(A, [W("e l l")])))
     hit = check_universal(CG, c)
     assert hit is not None
     u, conseq = hit
     assert u == W("e l l")
-    assert conseq == consequent_of("s l", "s l l")   # s l escapes L(c)
+    assert finite_words(conseq) == words("s l", "s l l")   # s l escapes L(c)
     assert check_universal(CG, HALF) is None         # no Player-1 word kept
     assert check_universal(CG, WINNING) is None
 
@@ -113,7 +103,7 @@ def test_query_trace():
     cex = query(G, HALF)
     assert isinstance(cex, Existential)
     assert cex.word == W("s l l")
-    assert cex.consequent == consequent_of("e l l", "e l l l")
+    assert finite_words(cex.consequent) == words("e l l", "e l l l")
     assert query(G, WINNING) is None
 
 
@@ -128,37 +118,37 @@ def brute_successors(u):
 
 
 def test_counterexample_validity_clauses():
-    for c in (EMPTY, HALF, WINNING, dfa_of(union(tag_tail("s", 2), from_words(A, [W("e l l")])))):
+    for c in (EMPTY, HALF, WINNING, determinize(union(tag_tail("s", 2), from_words(A, [W("e l l")])))):
         cex = query(G, c)
         if cex is None:
             continue
         u = cex.word
         if isinstance(cex, Positive):
-            assert dfa_accepts_brute(dfa_of(G.initial), u)
+            assert dfa_accepts_brute(determinize(G.initial), u)
             assert not dfa_accepts_brute(c, u)
         elif isinstance(cex, Negative):
             assert dfa_accepts_brute(c, u)
-            assert not dfa_accepts_brute(dfa_of(G.safe), u)
+            assert not dfa_accepts_brute(determinize(G.safe), u)
         else:
             conseq_words = set(finite_words(cex.consequent))
             assert conseq_words == brute_successors(u)
             assert dfa_accepts_brute(c, u)
             if isinstance(cex, Existential):
-                assert dfa_accepts_brute(dfa_of(G.v0), u)
+                assert dfa_accepts_brute(determinize(G.v0), u)
                 assert not any(dfa_accepts_brute(c, v) for v in conseq_words)
             else:
                 assert isinstance(cex, Universal)
-                assert dfa_accepts_brute(dfa_of(G.v1), u)
+                assert dfa_accepts_brute(determinize(G.v1), u)
                 assert not all(dfa_accepts_brute(c, v) for v in conseq_words)
 
 
 def test_yes_means_winning_on_finite_cuts():
     # query said yes for WINNING; re-check the definition vertex by vertex
     assert query(G, WINNING) is None
-    v0 = dfa_of(G.v0)
-    v1 = dfa_of(G.v1)
-    initial = dfa_of(G.initial)
-    safe = dfa_of(G.safe)
+    v0 = determinize(G.v0)
+    v1 = determinize(G.v1)
+    initial = determinize(G.initial)
+    safe = determinize(G.safe)
     for max_len in range(7):
         vertices = [w for w in all_words(len(A.symbols), max_len)
                     if dfa_accepts_brute(v0, w) or dfa_accepts_brute(v1, w)]
@@ -190,13 +180,21 @@ def test_compile_game_is_idempotent():
 
 
 def test_compiled_game_gives_the_same_counterexamples():
+    """Seeded random conjectures on the paper games: the compiled game
+    answers as the plain one does, check 2 as brute force does, and each
+    consequent is exactly E({u}), a finite language.  No paper game's move
+    changes a word's length by more than 2, so words up to len(u) + 2 hold
+    every successor of u."""
     for c in (EMPTY, HALF, WINNING, SIGMA_STAR):
         assert query(CG, c) == query(G, c)
     rng = random.Random(31)
     kinds = set()
+    cap = 4  # longest word the brute-force check 2 tries
     for name in PAPER_GAMES:
         g = generate_benchmark(BenchmarkSpec(name))
         cg = compile_game(g)
+        k = len(g.alphabet)
+        succ = {}
         for i in range(50):
             # two conjectures in three cover I and one of those stays in F,
             # so that all four checks get to answer
@@ -204,11 +202,24 @@ def test_compiled_game_gives_the_same_counterexamples():
             if i % 3:
                 c = union(c, g.initial)
             if i % 3 == 2:
-                c = intersect(c, g.safe)
-            c = minimize(determinize(c))
+                c = _reachable(Product([c, g.safe]))
+            c = determinize(c)
             cex = query(cg, c)
             assert cex == query(g, c), (name, i)
-            assert check_safe(cg, c) == product_word([difference(as_nfa(c), g.safe)])
+            unsafe = check_safe(cg, c)
+            brute = product_word_brute([c], [g.safe], cap)
+            if brute is not None:
+                assert unsafe == brute, (name, i)
+            else:
+                assert unsafe is None or len(unsafe) > cap, (name, i)
+            if isinstance(cex, (Existential, Universal)):
+                u = cex.word
+                if u not in succ:
+                    succ[u] = {v for v in all_words(k, len(u) + 2)
+                               if pair_accepted_brute(g.edges, u, v)}
+                got = finite_words(cex.consequent)
+                assert got is not None, (name, i)
+                assert set(got) == succ[u], (name, i)
             kinds.add(type(cex))
     assert kinds == {Positive, Negative, Existential, Universal, type(None)}
 
@@ -236,7 +247,7 @@ def test_a_deadline_stops_the_teacher_inside_a_check():
     # slow layer
     kprime = 20000
     g = generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": kprime}))
-    c = dfa_of(tag_tail("s", 1))
+    c = determinize(tag_tail("s", 1))
     res = run_cegis(g, lambda s, solver, deadline: c, "fixed", LearnOptions(timeout=0.01))
     assert res.outcome == "timeout" and res.iterations == 1
     t0 = time.monotonic()
@@ -263,7 +274,7 @@ def test_a_layer_the_deadline_interrupts_keeps_its_time():
 
     # check_safe on interval(1,20000) runs past a 0.05 s deadline
     g = generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": 20000}))
-    c = dfa_of(tag_tail("s", 1))
+    c = determinize(tag_tail("s", 1))
     res = run_cegis(g, lambda s, solver, deadline: c, "fixed", LearnOptions(timeout=0.05))
     assert res.outcome == "timeout" and res.iterations == 1
     assert res.teacher_time > 0.04
