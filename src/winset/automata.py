@@ -7,9 +7,24 @@ Conventions used throughout the package:
     which makes every "pick an arbitrary element" deterministic;
   - NFAs are epsilon-free (only transducer labels carry epsilon);
   - DFAs are total and have initial state 0;
-  - algorithms read an automaton through its move table,
-    `moves[state][symbol]`, the tuple of targets, which an Nfa or a Dfa
-    builds once, on first use.
+  - code reads an automaton, an Nfa or a Dfa alike, through its move
+    table, `moves[state][symbol]`, the tuple of targets, which each builds
+    once, on first use; `arcs(a)` lists the same moves as (p, sym, q)
+    triples in sorted order.  Membership (`accepts`), `union`,
+    `finite_words`, `to_dot`, the automaton file reader and writer and
+    rpni's prefix tree take no other path, so no function keeps a Dfa
+    branch or converts a Dfa to an Nfa.
+
+Three hot paths read something else, where the move table costs more or
+would change a result:
+  - a `Product` of deterministic operands zips their `delta` rows, and
+    `product_word` reads a one-state group's row without copying it: over
+    move tables, `interval-rpni` took 0.16-0.21 s a pass, not 0.10-0.14 s;
+  - `satlearn.build_uni`/`build_ex` loop over an Nfa's `transitions`: the
+    solver sees the clauses in that order, so another order changes its
+    models;
+  - `rpni._consistent` walks the negative words inline: through
+    `accepts`, rpni on evasion(start=24) took 0.87-0.98 s, not 0.67-0.80 s.
 
 Witness and emptiness questions about one automaton, intersections and
 differences are answered by one grouped breadth-first search
@@ -172,15 +187,14 @@ class Dfa:
         1-tuple (delta[state][symbol],)."""
         return tuple(tuple((q,) for q in row) for row in self.delta)
 
-    def to_nfa(self):
-        trans = frozenset(
-            (p, a, row[a]) for p, row in enumerate(self.delta) for a in range(len(self.alphabet))
-        )
-        return Nfa(self.alphabet, self.state_count, 0, trans, self.accepting)
 
-
-def as_nfa(a):
-    return a.to_nfa() if isinstance(a, Dfa) else a
+def arcs(a):
+    """Every move (p, sym, q) of `a`, an Nfa or a Dfa, read off its move
+    table in sorted order."""
+    for p, row in enumerate(a.moves):
+        for sym, targets in enumerate(row):
+            for q in targets:
+                yield p, sym, q
 
 
 def _check_same_alphabet(*autos):
@@ -310,11 +324,6 @@ class Product:
 def accepts(a, u):
     """True iff some run of `a` on `u` ends in an accepting state."""
     check_word(a.alphabet, u)
-    if isinstance(a, Dfa):
-        q = 0
-        for sym in u:
-            q = a.delta[q][sym]
-        return q in a.accepting
     moves = a.moves
     frontier = {a.initial}
     for sym in u:
@@ -368,22 +377,14 @@ def _reachable(a):
 def union(a, b):
     """Disjoint sum behind a fresh initial state (no epsilon moves needed)."""
     _check_same_alphabet(a, b)
-    a, b = as_nfa(a), as_nfa(b)
-    off_a, off_b = 1, 1 + a.state_count
     trans = set()
-    for (p, sym, q) in a.transitions:
-        trans.add((p + off_a, sym, q + off_a))
-        if p == a.initial:
-            trans.add((0, sym, q + off_a))
-    for (p, sym, q) in b.transitions:
-        trans.add((p + off_b, sym, q + off_b))
-        if p == b.initial:
-            trans.add((0, sym, q + off_b))
-    accepting = set()
-    if a.initial in a.accepting or b.initial in b.accepting:
-        accepting.add(0)
-    accepting |= {q + off_a for q in a.accepting}
-    accepting |= {q + off_b for q in b.accepting}
+    accepting = {0} if a.initial in a.accepting or b.initial in b.accepting else set()
+    for x, off in ((a, 1), (b, 1 + a.state_count)):
+        for (p, sym, q) in arcs(x):
+            trans.add((p + off, sym, q + off))
+            if p == x.initial:
+                trans.add((0, sym, q + off))
+        accepting |= {q + off for q in x.accepting}
     out = Nfa(a.alphabet, 1 + a.state_count + b.state_count, 0, frozenset(trans), frozenset(accepting))
     return _reachable(out)
 
@@ -448,7 +449,7 @@ def product_word(positive, negative=(), deadline=None):
 def _coreachable(a):
     """States with a path to an accepting state."""
     pre = {}
-    for (p, _sym, q) in a.transitions:
+    for (p, _sym, q) in arcs(a):
         pre.setdefault(q, []).append(p)
     coreach = set(a.accepting)
     stack = list(a.accepting)
@@ -471,12 +472,11 @@ def finite_words(a):
     The stack is explicit, since one word's automaton is as deep as the
     word is long.
     """
-    a = as_nfa(a)
     live = _coreachable(a)
     if a.initial not in live:
         return ()
     adj = {}
-    for (p, sym, q) in a.transitions:
+    for (p, sym, q) in arcs(a):
         if p in live and q in live:
             adj.setdefault(p, []).append((sym, q))
     suffixes = {}
@@ -531,23 +531,16 @@ def from_words(alphabet, words):
     return Nfa(alphabet, len(order), 0, frozenset(trans), frozenset(index[p] for p in ends))
 
 
-def to_dot(a, name="automaton"):
+def to_dot(a):
     """GraphViz DOT rendering (doubled circle = accepting)."""
-    a_view = a if isinstance(a, Dfa) else as_nfa(a)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, style=invis];']
-    for q in range(a_view.state_count):
-        shape = "doublecircle" if q in a_view.accepting else "circle"
+    lines = ["digraph automaton {", "  rankdir=LR;", '  hidden [shape=point, style=invis];']
+    for q in range(a.state_count):
+        shape = "doublecircle" if q in a.accepting else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
-    init = a_view.initial if isinstance(a_view, Nfa) else 0
-    lines.append(f"  hidden -> q{init};")
+    lines.append(f"  hidden -> q{a.initial};")
     grouped = {}
-    if isinstance(a_view, Dfa):
-        for p, row in enumerate(a_view.delta):
-            for sym, q in enumerate(row):
-                grouped.setdefault((p, q), []).append(a_view.alphabet.symbols[sym])
-    else:
-        for (p, sym, q) in sorted(a_view.transitions):
-            grouped.setdefault((p, q), []).append(a_view.alphabet.symbols[sym])
+    for (p, sym, q) in arcs(a):
+        grouped.setdefault((p, q), []).append(a.alphabet.symbols[sym])
     for (p, q), syms in sorted(grouped.items()):
         label = ",".join(syms)
         lines.append(f'  q{p} -> q{q} [label="{label}"];')

@@ -43,12 +43,12 @@ def game_size(g):
 
 # ------------------------------------------------------------ NFA helpers
 
-def _tag_star(alphabet, tags, seps=0):
-    """Words tag l* (seps=0) or tag l* . l* (seps=1)."""
+def _tag_star(alphabet, tags, seps):
+    """Words tag l*, or tag l* . l* when `seps`."""
     idx = [alphabet.index(t) for t in tags]
     l = alphabet.index("l")
     trans = {(0, t, 1) for t in idx} | {(1, l, 1)}
-    if seps == 0:
+    if not seps:
         return Nfa(alphabet, 2, 0, frozenset(trans), frozenset({1}))
     dot = alphabet.index(".")
     trans |= {(1, dot, 2), (2, l, 2)}
@@ -78,9 +78,10 @@ class _Builder:
         self.trans = set()
         self.acc = set()
 
-    def fresh(self):
-        self.n += 1
-        return self.n - 1
+    def fresh(self, count):
+        """`count` new states, numbered on from the last."""
+        self.n += count
+        return range(self.n - count, self.n)
 
     def edge(self, src, a, b, dst):
         conv = lambda x: None if x is None else self.alphabet.index(x)
@@ -93,10 +94,7 @@ class _Builder:
 def _halfline_edges(alphabet):
     """Example-style half-line moves: right, left, or stay, flipping the turn."""
     b = _Builder(alphabet)
-    right = b.fresh()
-    right_done = b.fresh()
-    left = b.fresh()
-    left_done = b.fresh()
+    right, right_done, left, left_done = b.fresh(4)
     b.edge(0, "s", "e", right)
     b.edge(right, "l", "l", right)
     b.edge(right, None, "l", right_done)
@@ -109,9 +107,7 @@ def _halfline_edges(alphabet):
 
 def _pm_branch(b, tag_in, tag_out):
     """Branch tag_in l^j -> tag_out l^(j±1); no stay, at 0 only +1 applies."""
-    copy = b.fresh()
-    up = b.fresh()
-    down = b.fresh()
+    copy, up, down = b.fresh(3)
     b.edge(0, tag_in, tag_out, copy)
     b.edge(copy, "l", "l", copy)
     b.edge(copy, None, "l", up)
@@ -120,6 +116,16 @@ def _pm_branch(b, tag_in, tag_out):
 
 
 # -------------------------------------------------------------- families
+
+def _game(alphabet, edges, safe, initial):
+    """The game whose Player-0 vertices are s l* and Player-1 vertices
+    e l*, or s l* . l* and e l* . l* over a two-counter alphabet."""
+    seps = "." in alphabet.symbols
+    return RationalSafetyGame(
+        alphabet, _tag_star(alphabet, "s", seps), _tag_star(alphabet, "e", seps),
+        edges, safe, initial,
+    )
+
 
 def halfline_game(k):
     """Half-line robot game: F = both players at positions >= k, I = Player 0 there."""
@@ -130,28 +136,16 @@ def _halfline(k):
     if k < 1:
         raise ValueError("halfline needs k >= 1")
     alphabet = ALPH3
-    return RationalSafetyGame(
-        alphabet,
-        v0=_tag_star(alphabet, "s"),
-        v1=_tag_star(alphabet, "e"),
-        edges=_halfline_edges(alphabet),
-        safe=_tag_counter(alphabet, "se", k),
-        initial=_tag_counter(alphabet, "s", k),
-    )
+    return _game(alphabet, _halfline_edges(alphabet), _tag_counter(alphabet, "se", k),
+                 _tag_counter(alphabet, "s", k))
 
 
 def _interval(k, kprime):
     if not (1 <= k < kprime):
         raise ValueError(f"interval needs 1 <= k < kprime, got k={k}, kprime={kprime}")
     alphabet = ALPH3
-    return RationalSafetyGame(
-        alphabet,
-        v0=_tag_star(alphabet, "s"),
-        v1=_tag_star(alphabet, "e"),
-        edges=_halfline_edges(alphabet),
-        safe=_tag_counter(alphabet, "se", k, kprime),
-        initial=from_words(alphabet, [alphabet.word("s" + " l" * k)]),
-    )
+    return _game(alphabet, _halfline_edges(alphabet), _tag_counter(alphabet, "se", k, kprime),
+                 from_words(alphabet, [alphabet.word("s" + " l" * k)]))
 
 
 def _diagonal(width):
@@ -163,14 +157,8 @@ def _diagonal(width):
     b = _Builder(alphabet)
     _pm_branch(b, "s", "e")
     _pm_branch(b, "e", "s")
-    return RationalSafetyGame(
-        alphabet,
-        v0=_tag_star(alphabet, "s"),
-        v1=_tag_star(alphabet, "e"),
-        edges=b.done(),
-        safe=_tag_counter(alphabet, "se", 0, width),
-        initial=from_words(alphabet, [alphabet.word("s")]),
-    )
+    return _game(alphabet, b.done(), _tag_counter(alphabet, "se", 0, width),
+                 from_words(alphabet, [alphabet.word("s")]))
 
 
 def _two_counter_safe_y(alphabet, height):
@@ -198,14 +186,8 @@ def _box(height, solitary):
         _copy_two_counter(b, "e", "s")
     else:
         _pm_first_counter(b, "e", "s")  # the environment drags x
-    return RationalSafetyGame(
-        alphabet,
-        v0=_tag_star(alphabet, "s", seps=1),
-        v1=_tag_star(alphabet, "e", seps=1),
-        edges=b.done(),
-        safe=_two_counter_safe_y(alphabet, height),
-        initial=from_words(alphabet, [alphabet.word("s .")]),
-    )
+    return _game(alphabet, b.done(), _two_counter_safe_y(alphabet, height),
+                 from_words(alphabet, [alphabet.word("s .")]))
 
 
 def _two_counter_sum(alphabet, lo, hi):
@@ -243,19 +225,9 @@ def _evasion(start):
     if start < 1:
         raise ValueError("evasion needs start >= 1")
     alphabet = ALPH4
-    b = _Builder(alphabet)
-    for (tin, tout) in (("s", "e"), ("e", "s")):
-        _pm_first_counter(b, tin, tout)
-        _pm_second_counter(b, tin, tout)
     word = alphabet.word("s" + " l" * start + " .")
-    return RationalSafetyGame(
-        alphabet,
-        v0=_tag_star(alphabet, "s", seps=1),
-        v1=_tag_star(alphabet, "e", seps=1),
-        edges=b.done(),
-        safe=_two_counter_sum(alphabet, 1, None),
-        initial=from_words(alphabet, [word]),
-    )
+    return _game(alphabet, _two_counter_moves(alphabet), _two_counter_sum(alphabet, 1, None),
+                 from_words(alphabet, [word]))
 
 
 def _follow(bound):
@@ -263,26 +235,22 @@ def _follow(bound):
     if bound < 1:
         raise ValueError("follow needs bound >= 1")
     alphabet = ALPH4
+    return _game(alphabet, _two_counter_moves(alphabet), _two_counter_sum(alphabet, 0, bound),
+                 from_words(alphabet, [alphabet.word("s .")]))
+
+
+def _two_counter_moves(alphabet):
+    """Either player shifts either counter by ±1, handing the turn over."""
     b = _Builder(alphabet)
     for (tin, tout) in (("s", "e"), ("e", "s")):
         _pm_first_counter(b, tin, tout)
         _pm_second_counter(b, tin, tout)
-    return RationalSafetyGame(
-        alphabet,
-        v0=_tag_star(alphabet, "s", seps=1),
-        v1=_tag_star(alphabet, "e", seps=1),
-        edges=b.done(),
-        safe=_two_counter_sum(alphabet, 0, bound),
-        initial=from_words(alphabet, [alphabet.word("s .")]),
-    )
+    return b.done()
 
 
 def _pm_first_counter(b, tag_in, tag_out):
     """tag l^a . l^b -> first counter shifted by ±1, second copied."""
-    c1 = b.fresh()
-    up = b.fresh()
-    down = b.fresh()
-    tail = b.fresh()
+    c1, up, down, tail = b.fresh(4)
     b.edge(0, tag_in, tag_out, c1)
     b.edge(c1, "l", "l", c1)
     b.edge(c1, None, "l", up)
@@ -295,10 +263,7 @@ def _pm_first_counter(b, tag_in, tag_out):
 
 def _pm_second_counter(b, tag_in, tag_out):
     """tag l^a . l^b -> first counter copied, second shifted by ±1."""
-    c1 = b.fresh()
-    c2 = b.fresh()
-    up = b.fresh()
-    down = b.fresh()
+    c1, c2, up, down = b.fresh(4)
     b.edge(0, tag_in, tag_out, c1)
     b.edge(c1, "l", "l", c1)
     b.edge(c1, ".", ".", c2)
@@ -310,8 +275,7 @@ def _pm_second_counter(b, tag_in, tag_out):
 
 def _copy_two_counter(b, tag_in, tag_out):
     """tag l^a . l^b -> both counters copied verbatim (turn flip only)."""
-    c1 = b.fresh()
-    c2 = b.fresh()
+    c1, c2 = b.fresh(2)
     b.edge(0, tag_in, tag_out, c1)
     b.edge(c1, "l", "l", c1)
     b.edge(c1, ".", ".", c2)
@@ -324,30 +288,20 @@ def _program_repair():
     tops it up by 2 or stays put; safety means never running empty."""
     alphabet = ALPH3
     b = _Builder(alphabet)
-    stay = b.fresh()
-    up1 = b.fresh()
-    up2 = b.fresh()
+    stay, up1, up2 = b.fresh(3)
     b.edge(0, "s", "e", stay)
     b.edge(stay, "l", "l", stay)
     b.edge(stay, None, "l", up1)
     b.edge(up1, None, "l", up2)
     b.acc |= {stay, up2}  # stay, or +2; +1 alone (up1) is not a move
-    drain = b.fresh()
-    down1 = b.fresh()
-    down2 = b.fresh()
+    drain, down1, down2 = b.fresh(3)
     b.edge(0, "e", "s", drain)
     b.edge(drain, "l", "l", drain)
     b.edge(drain, "l", None, down1)
     b.edge(down1, "l", None, down2)
     b.acc |= {down1, down2}
-    return RationalSafetyGame(
-        alphabet,
-        v0=_tag_star(alphabet, "s"),
-        v1=_tag_star(alphabet, "e"),
-        edges=b.done(),
-        safe=_tag_counter(alphabet, "se", 1),
-        initial=from_words(alphabet, [alphabet.word("s l")]),
-    )
+    return _game(alphabet, b.done(), _tag_counter(alphabet, "se", 1),
+                 from_words(alphabet, [alphabet.word("s l")]))
 
 
 # family name -> (builder, {parameter: default}); a None default is required

@@ -122,7 +122,7 @@ def _run_learner(g, args):
     opts = LearnOptions(
         timeout=args.timeout,
         max_states=args.max_states,
-        solver=make_solver(args.solver),
+        solver=args.solver,
     )
     run = learn_sat if args.learner == "sat" else learn_rpni
     return run(g, opts)
@@ -217,7 +217,7 @@ def cmd_bench(args):
     rows = []
     for name, g in _suite_games(args):
         for learner in ("sat", "rpni"):
-            opts = LearnOptions(timeout=args.timeout, solver=make_solver(args.solver))
+            opts = LearnOptions(timeout=args.timeout, solver=args.solver)
             res = (learn_sat if learner == "sat" else learn_rpni)(g, opts)
             row = _stats_row(name, g, res)
             rows.append(row)
@@ -262,6 +262,8 @@ def _checked(parse, ok, expected):
 
 _timeout = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _state_cap = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# checked now, so that a command that cannot run fails before any work
+_solver = _checked(make_solver, callable, "internal or exec:<an executable command>")
 # the scalability suite solves interval(1, k'), which needs k' >= 2
 _kprime_list = _checked(
     lambda text: [int(part) for part in text.split(",") if part.strip()],
@@ -281,9 +283,11 @@ def build_parser():
     p = sub.add_parser("solve", help="learn a winning set for a game file")
     p.add_argument("game")
     p.add_argument("--learner", choices=("sat", "rpni"), default="sat")
-    p.add_argument("--timeout", type=_timeout, default=300.0)
-    p.add_argument("--max-states", type=_state_cap, default=32, help="SAT learner size cap")
-    p.add_argument("--solver", default="internal", help="internal or exec:<path>")
+    p.add_argument("--timeout", type=_timeout, default=LearnOptions.timeout)
+    p.add_argument("--max-states", type=_state_cap, default=LearnOptions.max_states,
+                   help="SAT learner size cap")
+    p.add_argument("--solver", type=_solver, default="internal",
+                   help="internal or exec:<command>")
     p.add_argument("--out", help="write the learned DFA here")
     p.add_argument("--stats", help="append one CSV row here")
     p.add_argument("--emit", choices=("aut", "dot"), default="aut")
@@ -304,8 +308,8 @@ def build_parser():
     p = sub.add_parser("bench", help="run a learner comparison suite, emit CSV")
     p.add_argument("--suite", choices=("paper", "scalability"), default="paper")
     p.add_argument("--kprime-list", type=_kprime_list, default="10,50,100")
-    p.add_argument("--timeout", type=_timeout, default=300.0)
-    p.add_argument("--solver", default="internal")
+    p.add_argument("--timeout", type=_timeout, default=LearnOptions.timeout)
+    p.add_argument("--solver", type=_solver, default="internal")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(fn=cmd_bench)
 

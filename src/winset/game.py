@@ -23,7 +23,7 @@ File format (UTF-8, `#` starts a comment):
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, product_word
+from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, arcs, product_word
 from .errors import GameFormatError, InvalidWordError, InvariantViolation
 from .relations import Transducer, transition_key
 
@@ -186,11 +186,12 @@ def parse_game(text):
 # ------------------------------------------------------------- serializing
 
 def _dump_nfa(out, name, a):
+    """Append an automaton section, an Nfa's or a Dfa's, and a blank line."""
     out.append(f"[{name}]")
     out.append(f"states: {a.state_count}")
     out.append(f"initial: {a.initial}")
     out.append("accepting: " + " ".join(str(q) for q in sorted(a.accepting)))
-    for (p, sym, q) in sorted(a.transitions):
+    for (p, sym, q) in arcs(a):
         out.append(f"{p} {a.alphabet.symbols[sym]} {q}")
     out.append("")
 
@@ -228,14 +229,8 @@ def _parse_alphabet_section(sections):
 def serialize_dfa(d):
     """DFA file: an [alphabet] section plus one [dfa] automaton section."""
     out = ["[alphabet]", " ".join(d.alphabet.symbols), ""]
-    out.append("[dfa]")
-    out.append(f"states: {d.state_count}")
-    out.append("initial: 0")
-    out.append("accepting: " + " ".join(str(q) for q in sorted(d.accepting)))
-    for p, row in enumerate(d.delta):
-        for sym, q in enumerate(row):
-            out.append(f"{p} {d.alphabet.symbols[sym]} {q}")
-    return "\n".join(out)
+    _dump_nfa(out, "dfa", d)
+    return "\n".join(out[:-1])  # no trailing newline
 
 
 def parse_dfa(text):
@@ -245,18 +240,10 @@ def parse_dfa(text):
     nfa = _parse_nfa(sections["dfa"], alphabet)
     if nfa.initial != 0:
         raise _format_error("[dfa] initial state must be 0")
-    rows = [[None] * len(alphabet) for _ in range(nfa.state_count)]
-    for (p, sym, q) in nfa.transitions:
-        if rows[p][sym] is not None:
-            raise _format_error(
-                f"[dfa] is nondeterministic at state {p} on {alphabet.symbols[sym]!r}"
-            )
-        rows[p][sym] = q
-    for p, row in enumerate(rows):
-        for sym, q in enumerate(row):
-            if q is None:
-                raise _format_error(
-                    f"[dfa] is missing the transition from state {p} on "
-                    f"{alphabet.symbols[sym]!r}"
-                )
-    return Dfa(alphabet, nfa.state_count, tuple(tuple(r) for r in rows), nfa.accepting)
+    for p, row in enumerate(nfa.moves):
+        for sym, targets in enumerate(row):
+            if len(targets) != 1:
+                what = "is nondeterministic at" if targets else "is missing the transition from"
+                raise _format_error(f"[dfa] {what} state {p} on {alphabet.symbols[sym]!r}")
+    delta = tuple(tuple(q for (q,) in row) for row in nfa.moves)
+    return Dfa(alphabet, nfa.state_count, delta, nfa.accepting)

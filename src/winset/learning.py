@@ -16,9 +16,6 @@ from .prop import solve_internal
 from .sample import add, empty_sample
 from .teacher import compile_game, query
 
-OUTCOMES = ("solved", "timeout", "contradiction", "cap-exceeded")
-
-
 @dataclass
 class LearnOptions:
     timeout: float = 300.0
@@ -42,10 +39,11 @@ class LearnResult:
 def run_cegis(game, conjecture, tag, opts=None):
     """Drive Algorithm-1-style learning with `conjecture(sample, solver, deadline)`.
 
-    Returns a LearnResult whose outcome is one of OUTCOMES; `solved` implies
-    the returned DFA just passed the teacher's query, and `contradiction`
-    that the conjecture raised ContradictionError (the sample's chi CNF is
-    unsatisfiable).
+    Returns a LearnResult whose outcome is "solved", "timeout",
+    "contradiction" or "cap-exceeded" (the keys of `cli.EXIT_BY_OUTCOME`);
+    `solved` implies the returned DFA just passed the teacher's query, and
+    `contradiction` that the conjecture raised ContradictionError (the
+    sample's chi CNF is unsatisfiable).
     """
     opts = opts or LearnOptions()
     solver = opts.solver or solve_internal

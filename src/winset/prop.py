@@ -39,6 +39,7 @@ activity, ties going to the lowest index.
 
 import heapq
 import os
+import shutil
 import subprocess
 import tempfile
 import time
@@ -417,9 +418,17 @@ def external_solver(command):
 
 
 def make_solver(name):
-    """ "internal" or "exec:<path>" -> callable (cnf, deadline) -> model | None."""
+    """ "internal" or "exec:<command>" -> callable (cnf, deadline) -> model | None.
+
+    The command is a path or a name on PATH; one that names no executable
+    file raises ValueError.
+    """
     if name == "internal":
         return solve_internal
     if name.startswith("exec:"):
-        return external_solver(name[len("exec:"):])
-    raise ValueError(f"unknown solver backend {name!r} (use internal or exec:<path>)")
+        command = name[len("exec:"):]
+        path = shutil.which(command)
+        if path is None:
+            raise ValueError(f"solver command {command!r} is no executable file or name on PATH")
+        return external_solver(path)
+    raise ValueError(f"unknown solver backend {name!r} (use internal or exec:<command>)")

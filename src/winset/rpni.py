@@ -39,9 +39,7 @@ def _singletons(pta):
     accepts; both are read only for a class representative r.
     """
     n = pta.state_count
-    succ = [{} for _ in range(n)]
-    for (p, sym, q) in sorted(pta.transitions):
-        succ[p][sym] = q
+    succ = [{sym: q for sym, targets in enumerate(row) for q in targets} for row in pta.moves]
     return list(range(n)), succ, [q in pta.accepting for q in range(n)]
 
 

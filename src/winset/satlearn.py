@@ -390,7 +390,8 @@ def extract_dfa(model, book):
     return Dfa(book.alphabet, n, tuple(delta), accepting)
 
 
-def minimal_consistent_dfa(sample, n_cap=32, solver=None, deadline=None, books=None):
+def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, deadline=None,
+                           books=None):
     """Smallest consistent DFA, by solving φ_n for n = 1, 2, ... until
     satisfiable.
 

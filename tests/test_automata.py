@@ -136,13 +136,19 @@ def test_intersect_with_own_complement_is_empty():
 
 def test_boolean_ops_match_set_algebra():
     rng = random.Random(13)
+    dfas = random.Random(14)  # apart, so the NFAs drawn stay the same
     words = all_words(2, 5)
     for _ in range(30):
         a = random_nfa(rng, AB, max_states=3)
         b = random_nfa(rng, AB, max_states=3)
+        d = random_dfa(dfas, AB)
         la = {w for w in words if nfa_accepts_brute(a, w)}
         lb = {w for w in words if nfa_accepts_brute(b, w)}
+        ld = language_upto(d, 5)
         assert {w for w in words if accepts(union(a, b), w)} == la | lb
+        # a Dfa operand on either side
+        assert {w for w in words if accepts(union(d, a), w)} == ld | la
+        assert {w for w in words if accepts(union(b, d), w)} == lb | ld
         assert {w for w in words if accepts(_reachable(Product([a, b])), w)} == la & lb
         assert {w for w in words if accepts(_reachable(Product([a], [b])), w)} == la - lb
 
@@ -231,24 +237,27 @@ def test_finite_words_takes_a_1500_symbol_word():
 
 
 def test_finite_words_is_shortlex_sorted_and_complete():
-    rng = random.Random(23)
-    done = 0
-    while done < 25:
-        a = random_nfa(rng, AB)
+    def check(a):
+        """True iff `a`'s language is finite, after checking its words."""
         words = finite_words(a)
         if words is None:
-            # an n-state NFA has an infinite language iff it accepts a word
-            # whose length is in [n, 2n)
+            # an n-state automaton has an infinite language iff it accepts
+            # a word whose length is in [n, 2n)
             n = a.state_count
-            assert any(nfa_accepts_brute(a, w) for w in all_words(2, 2 * n - 1) if len(w) >= n)
-            continue
-        done += 1
+            assert any(len(w) >= n for w in language_upto(a, 2 * n - 1))
+            return False
         keys = [(len(w), w) for w in words]
         assert keys == sorted(keys)
         if words:
-            longest = len(words[-1])
-            assert set(words) == {w for w in all_words(2, longest)
-                                  if nfa_accepts_brute(a, w)}
+            assert set(words) == language_upto(a, len(words[-1]))
+        return True
+
+    rng = random.Random(23)
+    dfas = random.Random(24)  # apart, so the NFAs drawn stay the same
+    done = 0
+    while done < 25:
+        done += check(random_nfa(rng, AB))
+        check(random_dfa(dfas, AB, max_states=4))
 
 
 # ------------------------------------------------------------- builders
@@ -300,6 +309,36 @@ def test_to_dot_mentions_states():
     text = to_dot(determinize(v0_nfa()))
     assert "digraph" in text
     assert "doublecircle" in text
+    # the exact text: two symbols on one edge share its label, and a
+    # Dfa reads as the Nfa with the same moves
+    nfa = Nfa(AB, 3, 1, frozenset({(1, 0, 0), (1, 1, 0), (0, 1, 2), (2, 0, 2)}),
+              frozenset({0, 2}))
+    assert to_dot(nfa) == (
+        "digraph automaton {\n"
+        "  rankdir=LR;\n"
+        "  hidden [shape=point, style=invis];\n"
+        '  q0 [shape=doublecircle, label="0"];\n'
+        '  q1 [shape=circle, label="1"];\n'
+        '  q2 [shape=doublecircle, label="2"];\n'
+        "  hidden -> q1;\n"
+        '  q0 -> q2 [label="b"];\n'
+        '  q1 -> q0 [label="a,b"];\n'
+        '  q2 -> q2 [label="a"];\n'
+        "}\n"
+    )
+    dfa = Dfa(AB, 2, ((1, 0), (1, 1)), frozenset({1}))
+    assert to_dot(dfa) == (
+        "digraph automaton {\n"
+        "  rankdir=LR;\n"
+        "  hidden [shape=point, style=invis];\n"
+        '  q0 [shape=circle, label="0"];\n'
+        '  q1 [shape=doublecircle, label="1"];\n'
+        "  hidden -> q0;\n"
+        '  q0 -> q0 [label="b"];\n'
+        '  q0 -> q1 [label="a"];\n'
+        '  q1 -> q1 [label="a,b"];\n'
+        "}\n"
+    )
 
 
 # --------------------------------------------------------- product search

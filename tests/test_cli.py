@@ -134,6 +134,21 @@ def test_solve_rejects_an_external_unsat_on_a_satisfiable_sample(tmp_path, capsy
     assert "UNSAT on a satisfiable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "not-executable"])
+def test_a_solver_command_that_cannot_run_is_a_usage_error(tmp_path, capsys, kind):
+    game = write_halfline(tmp_path)
+    command = tmp_path / "solver.sh"
+    if kind == "not-executable":
+        command.write_text('#!/bin/sh\necho "s UNSATISFIABLE"\n')
+        os.chmod(command, 0o644)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", game, "--solver", f"exec:{command}"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was solved
+    assert "argument --solver" in captured.err
+
+
 def test_solve_infinite_branching_is_an_input_error_for_rpni_only(tmp_path, capsys):
     path = tmp_path / "branching.game"
     path.write_text(serialize_game(infinitely_branching_game()), encoding="utf-8")

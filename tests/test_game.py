@@ -107,6 +107,13 @@ def test_dfa_file_roundtrip():
     text = serialize_dfa(d)
     back = parse_dfa(text)
     assert back == d
+    # the exact text, with no newline after the last move
+    two = Dfa(Alphabet(("a", "b")), 2, ((1, 0), (1, 1)), frozenset({1}))
+    assert serialize_dfa(two) == (
+        "[alphabet]\na b\n\n[dfa]\nstates: 2\ninitial: 0\naccepting: 1\n"
+        "0 a 1\n0 b 0\n1 a 1\n1 b 1"
+    )
+    assert parse_dfa(serialize_dfa(two)) == two
 
 
 def test_parse_dfa_rejects_partial_and_nondeterministic():

@@ -334,3 +334,5 @@ def test_make_solver_names():
     assert make_solver("internal") is solve_internal
     with pytest.raises(ValueError):
         make_solver("quantum")
+    with pytest.raises(ValueError):
+        make_solver("exec:/nonexistent")
