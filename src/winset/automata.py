@@ -17,9 +17,11 @@ Conventions used throughout the package:
 
 Three hot paths read something else, where the move table costs more or
 would change a result:
-  - a `Product` of deterministic operands zips their `delta` rows, and
-    `product_word` reads a one-state group's row without copying it: over
-    move tables, `interval-rpni` took 0.16-0.21 s a pass, not 0.10-0.14 s;
+  - `product_word` walks a product of deterministic operands as single
+    state tuples, zipping the operands' successor tables (a Dfa's or a
+    Subsets' `delta`, an Nfa's `partial_delta`): through the grouped
+    search over move tables, `interval-rpni` took 0.11-0.14 s a pass,
+    not 0.05-0.07 s;
   - `satlearn.build_uni`/`build_ex` loop over an Nfa's `transitions`: the
     solver sees the clauses in that order, so another order changes its
     models;
@@ -27,14 +29,15 @@ would change a result:
     `accepts`, rpni on evasion(start=24) took 0.87-0.98 s, not 0.67-0.80 s.
 
 Witness and emptiness questions about one automaton, intersections and
-differences are answered by one grouped breadth-first search
-(`product_word`) that walks a `Product` on the fly.  A product's operands
-are of three kinds: a Dfa, read through `delta` (or its move table, next
-to an Nfa); any other automaton (an Nfa, or an on-demand automaton such
-as `relations.Image`), read through its move table; and the complement of
-such an automaton, determinized on demand by a `Subsets` whose rows are
-filled only when the search reaches them.  Acceptance is only ever
-tested by membership (`in`).
+differences are answered by one breadth-first search (`product_word`)
+that walks a `Product` on the fly.  A product's operands are of three
+kinds: a Dfa; any other automaton (an Nfa, or an on-demand automaton
+such as `relations.Image`), read through its move table; and the
+complement of such an automaton, determinized on demand by a `Subsets`
+whose rows are filled only when the search reaches them.  When every
+operand is deterministic the search walks single product states;
+otherwise it walks groups of states that share a least access word.
+Acceptance is only ever tested by membership (`in`).
 `_reachable` builds a product out in full, and `determinize` a Subsets.
 """
 
@@ -148,6 +151,18 @@ class Nfa:
             table[p][a] += (q,)
         return tuple(map(tuple, table))
 
+    @cached_property
+    def partial_delta(self):
+        """The successor table of a deterministic Nfa, built on first use:
+        partial_delta[state][symbol] is the one target, or None where the
+        move is missing.  None as a whole when some move has two targets."""
+        table = [[None] * len(self.alphabet) for _ in range(self.state_count)]
+        for (p, a, q) in self.transitions:
+            if table[p][a] is not None:
+                return None
+            table[p][a] = q
+        return tuple(map(tuple, table))
+
 
 @dataclass(frozen=True)
 class Dfa:
@@ -251,6 +266,8 @@ class Subsets:
 
         def row(i):
             subset = subsets[i]
+            if len(subset) == 1:  # one state's targets are distinct already
+                return tuple(reach(tuple(sorted(targets))) for targets in moves[subset[0]])
             return tuple(reach(tuple(sorted({q for p in subset for q in moves[p][sym]})))
                          for sym in symbols)
 
@@ -275,18 +292,13 @@ class _Final:
 
 class _ProductRows:
     """A Product's move table, computed on every read and kept nowhere: a
-    search reads each row once.  Deterministic operands come as `delta`
-    tables, which zip into the product's one successor per symbol."""
+    search reads each row once."""
 
-    def __init__(self, tables, deterministic):
+    def __init__(self, tables):
         self.tables = tables
-        self.deterministic = deterministic
 
     def __getitem__(self, t):
-        rows = map(getitem, self.tables, t)
-        if self.deterministic:
-            return tuple(zip(zip(*rows)))
-        return tuple(map(tuple, map(product, *rows)))
+        return tuple(map(tuple, map(product, *map(getitem, self.tables, t))))
 
 
 class Product:
@@ -300,13 +312,15 @@ class Product:
     fresh Subsets; a negative Dfa or Subsets, total and deterministic, is
     complemented by flipping acceptance, so a Subsets shared between
     products (the teacher's F) keeps the rows earlier searches filled.
+    `operands` lists them in that order, each negative one as the Dfa or
+    Subsets whose acceptance is flipped.
     `moves[t]` is computed when read: per symbol, the tuple of successors
     in lexicographic order.
     """
 
     def __init__(self, positive, negative=()):
         negative = [b if isinstance(b, (Dfa, Subsets)) else Subsets(b) for b in negative]
-        operands = [*positive, *negative]
+        self.operands = operands = [*positive, *negative]
         _check_same_alphabet(*operands)
         self.alphabet = operands[0].alphabet
         self.initial = tuple(a.initial for a in operands)
@@ -315,10 +329,21 @@ class Product:
             + [b.rejecting if isinstance(b, Subsets)
                else frozenset(range(b.state_count)) - b.accepting for b in negative]
         )
-        if all(isinstance(a, (Dfa, Subsets)) for a in operands):
-            self.moves = _ProductRows([a.delta for a in operands], True)
-        else:
-            self.moves = _ProductRows([a.moves for a in operands], False)
+
+    @cached_property
+    def moves(self):
+        return _ProductRows([a.moves for a in self.operands])
+
+
+def _successor_table(a):
+    """A deterministic operand's one successor per state and symbol: a
+    Dfa's or a Subsets' `delta`, a deterministic Nfa's `partial_delta`
+    (None for a missing move); None for any other operand."""
+    if isinstance(a, (Dfa, Subsets)):
+        return a.delta
+    if isinstance(a, Nfa):
+        return a.partial_delta
+    return None
 
 
 def accepts(a, u):
@@ -347,15 +372,18 @@ def determinize(a):
     return Dfa(a.alphabet, i, tuple(d.delta[j] for j in range(i)), frozenset(d.accepting))
 
 
-def _reachable(a):
+def _reachable(a, deadline=None):
     """`a` cut to the states reachable from its initial state and renumbered
     breadth first, each state's targets taken symbol by symbol in move-table
     order: a Dfa for a Dfa, an Nfa for any other automaton (a Product
-    included, which this builds)."""
+    included, which this builds).  Past `deadline` (a time.monotonic()
+    value, read every 256 states) it raises SolveTimeout."""
     moves = a.moves
     index = {a.initial: 0}
     order = [a.initial]
-    for p in order:  # grows while it is walked
+    for i, p in enumerate(order):  # grows while it is walked
+        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
+            raise SolveTimeout("building an automaton hit the deadline")
         for targets in moves[p]:
             for q in targets:
                 if q not in index:
@@ -392,29 +420,66 @@ def union(a, b):
 def product_word(positive, negative=(), deadline=None):
     """Shortlex-least word that every `positive` automaton accepts and no
     `negative` one does, or None; `product_word([a])` is the least word of
-    `a`.  Past `deadline` (a time.monotonic() value, read every 256 groups)
-    it raises SolveTimeout.
+    `a`.  Past `deadline` (a time.monotonic() value, read every 256 states
+    or groups) it raises SolveTimeout.
 
-    One forward breadth-first pass over groups of states of
-    `Product(positive, negative)`, which is walked as far as the search
-    reaches and never built.  A group holds the states whose shortlex-least
-    access word is the group's word.  Groups are expanded in queue order,
-    and each symbol in declared order; the next group is the set of
-    successors not seen in an earlier group.  A state's least access word
-    is some predecessor's least word plus one symbol, so the groups are
-    reached in shortlex order of their words, and the first group that
-    holds an accepting state gives the answer.  Each state joins one group,
-    so the search follows each transition at most once; it needs no
-    predecessor map and stops at the first accepting group.
+    One forward breadth-first pass over `Product(positive, negative)`,
+    which is walked as far as the search reaches and never built.  States
+    are expanded in queue order, and each symbol in declared order, so
+    they are reached in shortlex order of their least access words, and
+    the first accepting state reached gives the answer.  Each state is
+    reached once, so the search follows each transition at most once and
+    stops at the first accepting state.
+
+    When every operand is deterministic (a Dfa, a Subsets, or an Nfa with
+    at most one target per move; a negative Nfa is determinized as a
+    Subsets), each word leads to one product state, and the search walks
+    state tuples, zipping the operands' successor tables; a positive Nfa's
+    missing move is pruned.  Otherwise it walks groups of states (see
+    `_group_word`).
+    """
+    a = Product(positive, negative)
+    if a.initial in a.accepting:
+        return ()
+    tables = [_successor_table(b) for b in a.operands]
+    if None in tables:
+        return _group_word(a, deadline)
+    final = a.accepting.sets
+    parent = {a.initial: None}  # state -> (state, symbol) that reached it
+    order = [a.initial]
+    for i, t in enumerate(order):  # grows while it is walked
+        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
+            raise SolveTimeout("the shortest-word search hit the deadline")
+        for sym, s in enumerate(zip(*map(getitem, tables, t))):
+            if s in parent or None in s:
+                continue
+            parent[s] = t, sym
+            if all(map(contains, final, s)):
+                word = []
+                while parent[s] is not None:
+                    s, sym = parent[s]
+                    word.append(sym)
+                return tuple(reversed(word))
+            order.append(s)
+    return None
+
+
+def _group_word(a, deadline):
+    """`product_word` over a product with a nondeterministic operand.
+
+    The search walks groups of states: a group holds the states whose
+    shortlex-least access word is the group's word.  Groups are expanded
+    in queue order, and each symbol in declared order; the next group is
+    the set of successors not seen in an earlier group.  A state's least
+    access word is some predecessor's least word plus one symbol, so the
+    groups are reached in shortlex order of their words, and the first
+    group that holds an accepting state gives the answer.
 
     The grouping matters on NFAs.  With 0 -b-> 2, 0 -b-> 3, 2 -b-> 4,
     3 -a-> 4 and 4 accepting, the states 2 and 3 share the word b; a search
     over single states would expand 2 before 3 and answer b b, not b a.
     """
-    a = Product(positive, negative)
     moves, accepting = a.moves, a.accepting
-    if a.initial in accepting:
-        return ()
     seen = {a.initial}
     groups = [(a.initial,)]
     parent = [None]  # parent[i] = (group index, symbol) that reached group i

@@ -43,18 +43,6 @@ def game_size(g):
 
 # ------------------------------------------------------------ NFA helpers
 
-def _tag_star(alphabet, tags, seps):
-    """Words tag l*, or tag l* . l* when `seps`."""
-    idx = [alphabet.index(t) for t in tags]
-    l = alphabet.index("l")
-    trans = {(0, t, 1) for t in idx} | {(1, l, 1)}
-    if not seps:
-        return Nfa(alphabet, 2, 0, frozenset(trans), frozenset({1}))
-    dot = alphabet.index(".")
-    trans |= {(1, dot, 2), (2, l, 2)}
-    return Nfa(alphabet, 3, 0, frozenset(trans), frozenset({2}))
-
-
 def _tag_counter(alphabet, tags, lo, hi=None):
     """Words tag l^j with lo <= j (and j <= hi when bounded)."""
     idx = [alphabet.index(t) for t in tags]
@@ -120,11 +108,11 @@ def _pm_branch(b, tag_in, tag_out):
 def _game(alphabet, edges, safe, initial):
     """The game whose Player-0 vertices are s l* and Player-1 vertices
     e l*, or s l* . l* and e l* . l* over a two-counter alphabet."""
-    seps = "." in alphabet.symbols
-    return RationalSafetyGame(
-        alphabet, _tag_star(alphabet, "s", seps), _tag_star(alphabet, "e", seps),
-        edges, safe, initial,
-    )
+    if "." in alphabet.symbols:
+        v0, v1 = (_two_counter_sum(alphabet, tag, 0, None) for tag in "se")
+    else:
+        v0, v1 = (_tag_counter(alphabet, tag, 0) for tag in "se")
+    return RationalSafetyGame(alphabet, v0, v1, edges, safe, initial)
 
 
 def halfline_game(k):
@@ -190,13 +178,13 @@ def _box(height, solitary):
                  from_words(alphabet, [alphabet.word("s .")]))
 
 
-def _two_counter_sum(alphabet, lo, hi):
-    """Words t l^a . l^b with lo <= a+b (and a+b <= hi when bounded).
+def _two_counter_sum(alphabet, tags, lo, hi):
+    """Words tag l^a . l^b with lo <= a+b (and a+b <= hi when bounded).
 
     Chain on the running total, saturated at lo when hi is None; words whose
     total exceeds a finite hi simply get stuck.
     """
-    tags = [alphabet.index(t) for t in "se"]
+    tags = [alphabet.index(t) for t in tags]
     l, dot = alphabet.index("l"), alphabet.index(".")
     top = lo if hi is None else hi
 
@@ -226,7 +214,8 @@ def _evasion(start):
         raise ValueError("evasion needs start >= 1")
     alphabet = ALPH4
     word = alphabet.word("s" + " l" * start + " .")
-    return _game(alphabet, _two_counter_moves(alphabet), _two_counter_sum(alphabet, 1, None),
+    return _game(alphabet, _two_counter_moves(alphabet),
+                 _two_counter_sum(alphabet, "se", 1, None),
                  from_words(alphabet, [word]))
 
 
@@ -235,7 +224,8 @@ def _follow(bound):
     if bound < 1:
         raise ValueError("follow needs bound >= 1")
     alphabet = ALPH4
-    return _game(alphabet, _two_counter_moves(alphabet), _two_counter_sum(alphabet, 0, bound),
+    return _game(alphabet, _two_counter_moves(alphabet),
+                 _two_counter_sum(alphabet, "se", 0, bound),
                  from_words(alphabet, [alphabet.word("s .")]))
 
 

@@ -185,15 +185,21 @@ def parse_game(text):
 
 # ------------------------------------------------------------- serializing
 
-def _dump_nfa(out, name, a):
-    """Append an automaton section, an Nfa's or a Dfa's, and a blank line."""
+def _dump_section(out, name, a, moves):
+    """Append a section for the automaton or transducer `a`: its header,
+    the lines `moves`, and a blank line."""
     out.append(f"[{name}]")
     out.append(f"states: {a.state_count}")
     out.append(f"initial: {a.initial}")
     out.append("accepting: " + " ".join(str(q) for q in sorted(a.accepting)))
-    for (p, sym, q) in arcs(a):
-        out.append(f"{p} {a.alphabet.symbols[sym]} {q}")
+    out.extend(moves)
     out.append("")
+
+
+def _dump_nfa(out, name, a):
+    """Append an automaton section, an Nfa's or a Dfa's."""
+    symbols = a.alphabet.symbols
+    _dump_section(out, name, a, (f"{p} {symbols[sym]} {q}" for (p, sym, q) in arcs(a)))
 
 
 def _label_text(alphabet, x):
@@ -204,13 +210,10 @@ def serialize_game(g):
     out = ["[alphabet]", " ".join(g.alphabet.symbols), ""]
     _dump_nfa(out, "v0", g.v0)
     _dump_nfa(out, "v1", g.v1)
-    out.append("[edges]")
-    out.append(f"states: {g.edges.state_count}")
-    out.append(f"initial: {g.edges.initial}")
-    out.append("accepting: " + " ".join(str(q) for q in sorted(g.edges.accepting)))
-    for (p, a, b, q) in sorted(g.edges.transitions, key=transition_key):
-        out.append(f"{p} {_label_text(g.alphabet, a)}/{_label_text(g.alphabet, b)} {q}")
-    out.append("")
+    _dump_section(out, "edges", g.edges, (
+        f"{p} {_label_text(g.alphabet, a)}/{_label_text(g.alphabet, b)} {q}"
+        for (p, a, b, q) in sorted(g.edges.transitions, key=transition_key)
+    ))
     _dump_nfa(out, "safe", g.safe)
     _dump_nfa(out, "initial", g.initial)
     return "\n".join(out)

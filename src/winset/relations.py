@@ -131,12 +131,13 @@ class _Settled:
         return s in self.final
 
 
-def image(t, x):
+def image(t, x, deadline=None):
     """Nfa for { v | exists u in L(x) with (u, v) in R(t) }: the Image,
-    built out and renumbered breadth first."""
-    return _reachable(Image(t, x))
+    built out and renumbered breadth first.  Past `deadline` (a
+    time.monotonic() value, read every 256 states) it raises SolveTimeout."""
+    return _reachable(Image(t, x), deadline)
 
 
-def successors(t, u):
-    """Nfa for E({u}) = { v | (u, v) in R(t) }."""
-    return image(t, from_words(t.alphabet, [u]))
+def successors(t, u, deadline=None):
+    """Nfa for E({u}) = { v | (u, v) in R(t) }; `deadline` as for `image`."""
+    return image(t, from_words(t.alphabet, [u]), deadline)

@@ -16,7 +16,16 @@ Each check is one shortlex-least-word search over a product of the
 conjecture with game automata (`automata.product_word`); the product is
 walked as far as the search goes and never built.  Checks 3 and 4 take
 pre-images under the edge relation as `relations.Image` operands, which are
-walked the same way, so the whole of each check reads the deadline.
+walked the same way, so the whole of each check reads the deadline, and so
+does building a counterexample's consequent (`relations.successors`).
+
+Checks 1-3 search products of deterministic operands whenever V0 and I
+are deterministic, as in every benchmark family: the conjecture, F as a
+`Subsets`, V0 and I as Nfas with at most one target per move, and check
+3's negated Image, determinized as a `Subsets`.  `product_word` walks
+those as single state tuples.  Check 4, whose Image is a positive
+operand, and any check over a nondeterministic V0 or I take its grouped
+search.
 
 The checks take a compiled game (`compile_game`): the game together with
 the parts of the checks that depend only on the game, made once per run
@@ -25,8 +34,8 @@ construction of `safe` filled on demand, whose rows check 2 reads
 complemented and every later query reuses; the inverted edge transducer;
 and V0 ∪ V1.  `query` accepts a plain game too and compiles it itself;
 `run_cegis` compiles once before its loop and passes its deadline, which
-`query` reads between the checks and the searches every 256 groups, and
-past which it raises SolveTimeout.
+`query` reads between the checks and inside their searches, and past
+which it raises SolveTimeout.
 """
 
 import time
@@ -104,7 +113,7 @@ def check_existential(g, c, deadline=None):
     u = product_word([c, g.game.v0], [has_succ_in_c], deadline)
     if u is None:
         return None
-    return u, successors(g.game.edges, u)
+    return u, successors(g.game.edges, u, deadline)
 
 
 def check_universal(g, c, deadline=None):
@@ -113,7 +122,7 @@ def check_universal(g, c, deadline=None):
     u = product_word([g.game.v1, c, can_escape], deadline=deadline)
     if u is None:
         return None
-    return u, successors(g.game.edges, u)
+    return u, successors(g.game.edges, u, deadline)
 
 
 def query(g, c, deadline=None):

@@ -305,6 +305,17 @@ def random_sparse_nfa(rng, alphabet, max_states=5):
     return Nfa(alphabet, n, 0, frozenset(transitions), frozenset({rng.randrange(n)}))
 
 
+def random_partial_nfa(rng, alphabet, max_states=5):
+    """Random deterministic NFA: each move has one target, or none about a
+    quarter of the time."""
+    n = rng.randint(1, max_states)
+    transitions = {(src, sym, rng.randrange(n))
+                   for src in range(n) for sym in range(len(alphabet.symbols))
+                   if rng.random() < 0.75}
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return Nfa(alphabet, n, 0, frozenset(transitions), accepting)
+
+
 def random_dfa(rng, alphabet, max_states=3):
     """Random little total DFA."""
     n = rng.randint(1, max_states)

@@ -1,9 +1,11 @@
 """Tests for the automata layer, mostly against brute-force oracles."""
 
 import random
+import time
 
 import pytest
 
+from winset import automata
 from winset.automata import (
     Alphabet,
     Dfa,
@@ -18,7 +20,7 @@ from winset.automata import (
     to_dot,
     union,
 )
-from winset.errors import InvalidWordError
+from winset.errors import InvalidWordError, SolveTimeout
 
 from oracles import (
     all_words,
@@ -27,6 +29,7 @@ from oracles import (
     product_word_brute,
     random_dfa,
     random_nfa,
+    random_partial_nfa,
     random_sparse_nfa,
 )
 
@@ -394,3 +397,72 @@ def test_product_word_matches_built_products_and_brute_force():
         else:
             assert got is None or len(got) > cap, (positive, negative)
     assert exact > 900
+
+
+def test_product_word_over_deterministic_operands_matches_built_products_and_brute_force(
+        monkeypatch):
+    # Random products of one to three deterministic operands: positive Dfas
+    # and Nfas with at most one target per move, some moves missing, and
+    # negative Dfas and NFAs (determinized on demand, so deterministic too).
+    # Each is searched over state tuples; a row of a positive Nfa that holds
+    # a missing move, once read, is a move the search prunes.
+    grouped, pruned = [], set()
+
+    class Rows(tuple):
+        def __getitem__(self, state):
+            row = tuple.__getitem__(self, state)
+            if None in row:
+                pruned.add(trial)
+            return row
+
+    table_of = automata._successor_table
+
+    def successor_table(a):
+        table = table_of(a)
+        return Rows(table) if isinstance(a, Nfa) and table is not None else table
+
+    monkeypatch.setattr(automata, "_successor_table", successor_table)
+    monkeypatch.setattr(automata, "_group_word", lambda a, deadline: grouped.append(a))
+
+    rng = random.Random(43)
+    alphabets = (Alphabet(("a",)), AB, Alphabet(("a", "b", "c")))
+    caps = (12, 7, 4)  # longest brute-force word per alphabet size
+    exact = 0
+    for trial in range(1500):
+        alphabet, cap = alphabets[trial % 3], caps[trial % 3]
+        count = 1 + trial % 3
+        cut = rng.randint(1, count)
+        positive = [random_partial_nfa(rng, alphabet) if rng.random() < 0.7
+                    else random_dfa(rng, alphabet) for _ in range(cut)]
+        negative = [random_sparse_nfa(rng, alphabet) if rng.random() < 0.7
+                    else random_dfa(rng, alphabet) for _ in range(count - cut)]
+        got = product_word(positive, negative)
+        built = positive[0]
+        for a in positive[1:]:
+            built = _reachable(Product([built, a]))
+        for b in negative:
+            built = _reachable(Product([built], [b]))
+        assert got == product_word([built]), (positive, negative)
+        brute = product_word_brute(positive, negative, cap)
+        bound = 1
+        for a in positive:
+            bound *= a.state_count
+        for b in negative:
+            bound *= b.state_count if isinstance(b, Dfa) else 2 ** b.state_count
+        if brute is not None or bound <= cap:
+            exact += 1
+            assert got == brute, (positive, negative)
+        else:
+            assert got is None or len(got) > cap, (positive, negative)
+    # the one-operand searches over `built` take the same path
+    assert grouped == []
+    assert exact > 950
+    assert len(pruned) > 600
+
+    # an expired deadline stops the search over state tuples
+    line = from_words(AB, [AB.word("a b a b")])
+    with pytest.raises(SolveTimeout):
+        product_word([line], [ab_star()], deadline=time.monotonic() - 1)
+    with pytest.raises(SolveTimeout):
+        product_word([line, Dfa(AB, 1, ((0, 0),), frozenset({0}))], deadline=time.monotonic() - 1)
+    assert grouped == []

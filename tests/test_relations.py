@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 import winset
 
 from winset.automata import Alphabet, Nfa, Product, accepts, from_words, product_word, union
-from winset.errors import AlphabetMismatchError
+from winset.benchmarks import BenchmarkSpec, generate_benchmark
+from winset.errors import AlphabetMismatchError, SolveTimeout
 from winset.relations import Image, Transducer, image, invert, successors
 
 from oracles import (
@@ -131,6 +133,22 @@ def test_successors_examples():
     assert language_upto(successors(t, SEL.word("e")), 4) == {SEL.word("s")}
     none = Transducer(SEL, 1, 0, frozenset(), frozenset())
     assert language_upto(successors(none, SEL.word("s")), 4) == set()
+
+
+def test_a_deadline_stops_successors_while_it_builds_the_image():
+    # the successors of one long vertex form an automaton twice the word's
+    # length; building it reads the deadline as it goes
+    g = generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": 100}))
+    u = g.alphabet.word("s" + " l" * 30000)
+    t0 = time.monotonic()
+    full = successors(g.edges, u)
+    full_s = time.monotonic() - t0
+    assert full.state_count == 60003
+    t0 = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        successors(g.edges, u, deadline=t0 + 0.05)
+    assert time.monotonic() - t0 < min(0.05 + 0.2, full_s / 2)
+    assert successors(g.edges, u, deadline=time.monotonic() + 3600) == full
 
 
 SUCCESSORS_OF_ONE_WORD = """
