@@ -23,9 +23,14 @@ Checks 1-3 search products of deterministic operands whenever V0 and I
 are deterministic, as in every benchmark family: the conjecture, F as a
 `Subsets`, V0 and I as Nfas with at most one target per move, and check
 3's negated Image, determinized as a `Subsets`.  `product_word` walks
-those as single state tuples.  Check 4, whose Image is a positive
-operand, and any check over a nondeterministic V0 or I take its grouped
-search.
+those as single state tuples, and it cuts every tuple in which the
+conjecture, V0 or I, the positive operands, is in a dead state (one that
+reaches no accepting state): no accepting tuple lies beyond it, so the
+answer is the same.  Check 2 over a conjecture with a finite language
+thus stops where the conjecture can no longer accept, and it fills only
+the rows of F it reached.  Check 4, whose Image is a positive operand,
+and any check over a nondeterministic V0 or I take its grouped search,
+which cuts nothing.
 
 The checks take a compiled game (`compile_game`): the game together with
 the parts of the checks that depend only on the game, made once per run

@@ -323,6 +323,27 @@ def random_dfa(rng, alphabet, max_states=3):
     return Dfa(alphabet, n, delta, frozenset(q for q in range(n) if rng.random() < 0.5))
 
 
+def with_dead_states(rng, a):
+    """`a`, a Dfa or a deterministic Nfa, with one or two dead states added:
+    they accept nothing, move only among themselves, and about a third of
+    `a`'s moves are sent to them instead."""
+    n = a.state_count
+    k = rng.randint(1, 2)
+    symbols = range(len(a.alphabet.symbols))
+
+    def target(q):
+        return rng.randrange(n, n + k) if rng.random() < 0.35 else q
+
+    if isinstance(a, Dfa):
+        delta = [tuple(map(target, row)) for row in a.delta]
+        delta += [tuple(rng.randrange(n, n + k) for _ in symbols) for _ in range(k)]
+        return Dfa(a.alphabet, n + k, tuple(delta), a.accepting)
+    transitions = {(p, sym, target(q)) for (p, sym, q) in a.transitions}
+    transitions |= {(p, sym, rng.randrange(n, n + k))
+                    for p in range(n, n + k) for sym in symbols if rng.random() < 0.75}
+    return Nfa(a.alphabet, n + k, a.initial, frozenset(transitions), a.accepting)
+
+
 def product_word_brute(positive, negative, max_len):
     """The shortlex-least word of length <= max_len that every positive
     automaton accepts and no negative one does, by trying every word in

@@ -1,7 +1,10 @@
 """Tests for the automata layer, mostly against brute-force oracles."""
 
+import gc
 import random
 import time
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -31,6 +34,7 @@ from oracles import (
     random_nfa,
     random_partial_nfa,
     random_sparse_nfa,
+    with_dead_states,
 )
 
 AB = Alphabet(("a", "b"))
@@ -404,8 +408,9 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
     # Random products of one to three deterministic operands: positive Dfas
     # and Nfas with at most one target per move, some moves missing, and
     # negative Dfas and NFAs (determinized on demand, so deterministic too).
-    # Each is searched over state tuples; a row of a positive Nfa that holds
-    # a missing move, once read, is a move the search prunes.
+    # Each is searched over state tuples; a row of a positive Nfa's table,
+    # as the search walks it, that holds None (a missing move or a dead
+    # target), once read, is a move the search prunes.
     grouped, pruned = [], set()
 
     class Rows(tuple):
@@ -417,8 +422,8 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
 
     table_of = automata._successor_table
 
-    def successor_table(a):
-        table = table_of(a)
+    def successor_table(a, positive):
+        table = table_of(a, positive)
         return Rows(table) if isinstance(a, Nfa) and table is not None else table
 
     monkeypatch.setattr(automata, "_successor_table", successor_table)
@@ -466,3 +471,113 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
     with pytest.raises(SolveTimeout):
         product_word([line, Dfa(AB, 1, ((0, 0),), frozenset({0}))], deadline=time.monotonic() - 1)
     assert grouped == []
+
+
+def test_product_word_prunes_dead_states_of_positive_operands(monkeypatch):
+    # Random products whose positive Dfas and partial Nfas have dead states
+    # (no path to an accepting state).  The search walks their `live_delta`,
+    # where a move into a dead state is None; its answer must be the grouped
+    # search's over the product built out in full, which prunes nothing, and
+    # brute force's.  A read row whose None stands for a move the operand
+    # has counts the trial as one where a dead state, not a missing move,
+    # removed a successor; trials whose initial tuple is dead, where every
+    # move is cut, count apart as empty.
+    cut = set()
+
+    class Rows(tuple):
+        def __getitem__(self, state):
+            row = tuple.__getitem__(self, state)
+            if any(q is None and targets for q, targets in zip(row, self.moves[state])):
+                cut.add(trial)
+            return row
+
+    table_of = automata._successor_table
+
+    def successor_table(a, positive):
+        table = table_of(a, positive)
+        if not positive or table is None:
+            return table
+        rows = Rows(table)
+        rows.moves = a.moves
+        return rows
+
+    monkeypatch.setattr(automata, "_successor_table", successor_table)
+
+    rng = random.Random(47)
+
+    def live_operand(alphabet):
+        # mostly one whose initial state is live, so the search goes on
+        while True:
+            a = with_dead_states(rng, random_partial_nfa(rng, alphabet) if rng.random() < 0.6
+                                 else random_dfa(rng, alphabet))
+            if a.initial in automata._coreachable(a) or rng.random() < 0.1:
+                return a
+
+    alphabets = (Alphabet(("a",)), AB, Alphabet(("a", "b", "c")))
+    caps = (12, 7, 4)  # longest brute-force word per alphabet size
+    exact = empty = 0
+    for trial in range(1000):
+        alphabet, cap = alphabets[trial % 3], caps[trial % 3]
+        count = 1 + trial % 3
+        split = rng.randint(1, count)
+        positive = [live_operand(alphabet) for _ in range(split)]
+        negative = [random_sparse_nfa(rng, alphabet) if rng.random() < 0.7
+                    else random_dfa(rng, alphabet) for _ in range(count - split)]
+        got = product_word(positive, negative)
+        built = Product([_reachable(Product(positive, negative))])
+        unpruned = () if built.initial in built.accepting else automata._group_word(built, None)
+        assert got == unpruned, (positive, negative)
+        if any(a.initial not in automata._coreachable(a) for a in positive):
+            empty += 1
+            cut.discard(trial)  # every move from the initial tuple is cut
+            assert got is None, (positive, negative)
+        brute = product_word_brute(positive, negative, cap)
+        bound = 1
+        for a in positive:
+            bound *= a.state_count
+        for b in negative:
+            bound *= b.state_count if isinstance(b, Dfa) else 2 ** b.state_count
+        if brute is not None or bound <= cap:
+            exact += 1
+            assert got == brute, (positive, negative)
+        else:
+            assert got is None or len(got) > cap, (positive, negative)
+    assert exact > 650
+    assert len(cut) > 250
+    assert empty > 90
+
+    # an empty positive language gives None, however the dead states loop
+    sink = Dfa(AB, 2, ((1, 0), (1, 1)), frozenset())
+    assert sink.live_delta == ((None, None), (None, None))
+    assert product_word([sink]) is None
+    assert product_word([sink], [ab_star()]) is None
+    cut_off = Nfa(AB, 3, 0, frozenset({(0, 0, 1), (1, 1, 0)}), frozenset({2}))
+    assert product_word([cut_off, ab_star()]) is None
+
+
+def test_product_word_keeps_no_reference_to_its_operands():
+    # The pruned tables are cached on the automata, so they go with them: a
+    # chain to one accepting state with a dead sink beside it, as a Dfa and
+    # as an Nfa, each with a pruned table of n rows (~n * 64 bytes).  Once
+    # both are deleted, neither is alive and none of what the searches
+    # allocated is left.
+    n = 4000
+    chain = tuple((i + 1, n - 1) for i in range(n - 2)) + ((n - 1, n - 1),) * 2
+    operands = [Dfa(AB, n, chain, frozenset({n - 2})),
+                Nfa(AB, n, 0, frozenset((p, sym, q) for p, row in enumerate(chain)
+                                        for sym, q in enumerate(row)), frozenset({n - 2}))]
+    refs = [weakref.ref(a) for a in operands]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a in operands:
+            assert product_word([a], [ab_star()]) is None
+            assert product_word([a]) == (0,) * (n - 2)
+            assert a.live_delta[0] == (1, None)
+        del a, operands
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [r() for r in refs] == [None, None]
+    assert left < 150_000

@@ -77,6 +77,22 @@ def test_check_safe():
     assert check_safe(CG, determinize(G.safe)) is None
 
 
+def test_check_safe_stops_once_a_finite_conjecture_can_no_longer_accept():
+    # On interval(1,20000) F is a chain of ~20 000 subsets.  A conjecture
+    # with a finite language inside F, no word longer than four letters, is
+    # in a dead state after at most five, so the search stops there and
+    # fills only the few rows of F it reached; searching on through the
+    # rest of the chain fills ~20 000.
+    g = compile_game(generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": 20000})))
+    w = g.game.alphabet.word
+    c = determinize(from_words(g.game.alphabet, [w("s l"), w("e l l l")]))
+    assert check_safe(g, c) is None
+    assert len(g.safe.subsets) < 50
+    outside = determinize(from_words(g.game.alphabet, [w("e l"), w("s")]))
+    assert check_safe(g, outside) == w("s")
+    assert len(g.safe.subsets) < 50
+
+
 def test_check_existential():
     hit = check_existential(CG, HALF)
     assert hit is not None
