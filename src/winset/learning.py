@@ -36,7 +36,7 @@ class LearnResult:
     sample: object = None
 
 
-def run_cegis(game, conjecture, tag, opts=None):
+def run_cegis(game, conjecture, tag, opts=None, prior=None, start=None):
     """Drive Algorithm-1-style learning with `conjecture(sample, solver, deadline)`.
 
     Returns a LearnResult whose outcome is "solved", "timeout",
@@ -44,17 +44,27 @@ def run_cegis(game, conjecture, tag, opts=None):
     `solved` implies the returned DFA just passed the teacher's query, and
     `contradiction` that the conjecture raised ContradictionError (the
     sample's chi CNF is unsatisfiable).
+
+    A run may come in parts, one call each, as the sat learner's size
+    schedule makes it.  `prior`, the result of the part before, hands over
+    its sample, its iteration count and its layer times, which this part
+    goes on from.  `start`, the run's start on the monotonic clock, carries
+    the deadline (`start` + `opts.timeout`) and the wall time over; it
+    defaults to the call's own start.  `game` may be compiled already
+    (`teacher.compile_game`), so that the parts share one compiled game.
     """
     opts = opts or LearnOptions()
     solver = opts.solver or solve_internal
-    start = time.monotonic()
+    start = time.monotonic() if start is None else start
     deadline = start + opts.timeout
-    s = empty_sample(game.alphabet)
-    iterations = 0
-    solve_time = 0.0
+    iterations, solve_time, teacher_time = (
+        (0, 0.0, 0.0) if prior is None
+        else (prior.iterations, prior.solve_time, prior.teacher_time)
+    )
     t0 = time.monotonic()
     compiled = compile_game(game)
-    teacher_time = time.monotonic() - t0
+    teacher_time += time.monotonic() - t0
+    s = empty_sample(compiled.game.alphabet) if prior is None else prior.sample
 
     def result(outcome, dfa=None):
         return LearnResult(

@@ -1,5 +1,7 @@
 """Exact learner: encode "an n-state DFA consistent with the sample exists"
-as CNF clauses, solve for increasing n, extract the model DFA.
+as CNF clauses, solve for the sizes n of one schedule (see `learn`),
+extract the model DFA.  The final DFA is minimal: every size below it is
+refuted by an UNSAT φ_n.
 
 Variable families (all housed in a VarBook, one per size n):
 
@@ -48,10 +50,9 @@ x-block of each prefix the item brings in (with its at-most-one clauses and
 its one run step from its parent), then the item's y- or z-block and its
 gates, and appends the item's clauses; last come the clauses of the
 distinct pairs not encoded yet (a grown sample keeps every pair of the one
-it grew from).  The learner keeps one book per size
-from the least size not yet refuted, so each iteration's φ_n is the last
-one plus the new items' clauses, solved on by the same live solver (see
-`prop`).
+it grew from).  The learner keeps one live book, at the size it is
+solving, so each iteration's φ_n is the last one plus the new items'
+clauses, solved on by the same live solver (see `prop`).
 
 The BFS symmetry-breaking predicates of Ulyantsev, Zakirzyanov & Shalyto
 (LATA 2015) are ordinary clauses of φ_n, over the d-variables and three
@@ -78,11 +79,20 @@ so the plain φ_n is the clause list without those.
 
 import itertools
 import time
+from dataclasses import replace
 
+from . import teacher
 from .automata import Dfa
-from .errors import CapExceededError, ExternalSolverError, InternalConsistencyError, SolveTimeout
+from .errors import (
+    CapExceededError,
+    ExternalSolverError,
+    InfiniteBranchingError,
+    InternalConsistencyError,
+    SolveTimeout,
+)
 from .learning import LearnOptions, run_cegis
 from .prop import CnfInstance, solve_internal
+from .rpni import learn_rpni
 from .sample import check_contradiction, distinct_pairs, finite_words
 
 
@@ -392,8 +402,11 @@ def extract_dfa(model, book):
 
 def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, deadline=None,
                            books=None):
-    """Smallest consistent DFA, by solving φ_n for n = 1, 2, ... until
-    satisfiable.
+    """Smallest consistent DFA of at least the least size in `books` (1
+    when there is none) and at most `n_cap` states, by solving φ_n for
+    n = that size, that size + 1, ... until satisfiable; CapExceededError
+    when φ_{n_cap} is UNSAT too.  It is the smallest of all only when every
+    size below the first is refuted.
 
     `books` (n -> VarBook, kept by the caller) carries the encodings from
     one call to the next while the sample only grows.  The scan then starts
@@ -420,16 +433,64 @@ def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, d
     raise CapExceededError(n_cap)
 
 
+# The share of the timeout that the rpni phase of `learn` may take.
+RPNI_SHARE = 0.25
+
+
 def learn(game, opts=None):
-    """CEGIS with the exact learner; conjectures are minimal at every step."""
+    """CEGIS with the exact learner; the final DFA is minimal, the
+    conjectures before it need not be.
+
+    `learn_rpni` runs first, on the same compiled game, for RPNI_SHARE of
+    the timeout.  A winning set W that it finds bounds the minimal size
+    from above by hi = |W|, and its sample is the first one here: every
+    item holds for every winning set, so none refutes the minimal size.
+    Then one size schedule runs, with lo the least size not refuted.  While
+    hi is known, each conjecture solves φ_n at n = hi − 1 alone (at the cap
+    when that is lower); otherwise it scans up from n = lo.  A model the
+    teacher accepts becomes W, and hi its size.  An UNSAT φ_n refutes every
+    size up to n, so lo = n + 1.  The run ends with W once lo ≥ hi, and as
+    `cap-exceeded` once lo passes `opts.max_states`.  When rpni runs out of
+    its share, hi stays unknown and the scan starts at 1 on rpni's sample;
+    after InfiniteBranchingError it starts on an empty sample.
+    """
     opts = opts or LearnOptions()
-    # The live φ_n of the growing sample, from the least size not refuted.
-    books = {}
+    cap = opts.max_states
+    start = time.monotonic()
+    game = teacher.compile_game(game)  # once, for both learners
+    try:
+        res = learn_rpni(game, replace(opts, timeout=opts.timeout * RPNI_SHARE))
+    except InfiniteBranchingError:
+        res = None
+    winning = res.dfa if res is not None and res.outcome == "solved" else None
+    lo = 1
+    books = {}  # the live φ_n: below W, one book at the size being solved
 
     def conjecture(s, solver, deadline):
+        nonlocal lo
         check_contradiction(s, solver, deadline)  # raises on a contradictory sample
-        return minimal_consistent_dfa(
-            s, n_cap=opts.max_states, solver=solver, deadline=deadline, books=books,
-        )
+        if winning is None:
+            top = cap
+        else:
+            top = min(winning.state_count - 1, cap)
+            if top not in books:
+                books.clear()
+                books[top] = VarBook(s.alphabet, top)
+        try:
+            d = minimal_consistent_dfa(s, n_cap=top, solver=solver, deadline=deadline, books=books)
+        except CapExceededError:
+            lo = top + 1
+            raise
+        if winning is None:
+            lo = d.state_count  # the scan refuted every size below it
+        return d
 
-    return run_cegis(game, conjecture, "sat", opts)
+    while lo <= cap and (winning is None or lo < winning.state_count):
+        res = run_cegis(game, conjecture, "sat", opts, prior=res, start=start)
+        if res.outcome == "solved":
+            winning = res.dfa
+        elif res.outcome != "cap-exceeded":
+            return res
+    done = lo <= cap
+    return replace(res, learner="sat", outcome="solved" if done else "cap-exceeded",
+                   dfa=winning if done else None, wall_time=time.monotonic() - start)

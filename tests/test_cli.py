@@ -9,10 +9,12 @@ import os
 
 import pytest
 
+from winset import cli, satlearn
 from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words
-from winset.benchmarks import halfline_game
+from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
 from winset.cli import CSV_COLUMNS, STATS_COLUMNS, main
 from winset.game import RationalSafetyGame, parse_game, serialize_dfa, serialize_game
+from winset.prop import solve_internal
 
 from oracles import infinitely_branching_game
 
@@ -132,6 +134,34 @@ def test_solve_rejects_an_external_unsat_on_a_satisfiable_sample(tmp_path, capsy
     rc = main(["solve", game, "--learner", learner, "--solver", f"exec:{liar}"])
     assert rc == 4
     assert "UNSAT on a satisfiable" in capsys.readouterr().err
+
+
+def test_solve_rejects_an_unsat_lie_below_the_rpni_bound(tmp_path, capsys, monkeypatch):
+    # box(2): rpni's winning set has 7 states and the minimum is 5, so φ_6
+    # is satisfiable; a solver that answers UNSAT there is an internal
+    # error, and the 7-state set is not reported as minimal
+    path = tmp_path / "box.game"
+    path.write_text(serialize_game(generate_benchmark(BenchmarkSpec("box", {"height": 2}))),
+                    encoding="utf-8")
+    size_six = []
+
+    class Book(satlearn.VarBook):
+        def __init__(self, alphabet, n):
+            super().__init__(alphabet, n)
+            if n == 6:
+                size_six.append(self.cnf)
+
+    def liar(cnf, deadline=None):
+        if any(cnf is six for six in size_six):
+            return None
+        return solve_internal(cnf, deadline)
+
+    monkeypatch.setattr(satlearn, "VarBook", Book)
+    monkeypatch.setattr(cli, "_solver", lambda text: liar)
+    assert main(["solve", str(path), "--solver", "exec:liar"]) == 4
+    captured = capsys.readouterr()
+    assert "UNSAT on a satisfiable size-6 CNF" in captured.err
+    assert "winning-set DFA" not in captured.out
 
 
 @pytest.mark.parametrize("kind", ["missing", "not-executable"])

@@ -1,6 +1,7 @@
 """SAT learner tests: the encoding's shape, its variable semantics, frozen
-sat/unsat decisions cross-checked by exhaustive DFA enumeration, and the
-learning loop on the half-line game."""
+sat/unsat decisions cross-checked by exhaustive DFA enumeration, the
+learning loop on the half-line game, and the size schedule below the
+winning set the rpni phase finds."""
 
 import contextlib
 import gc
@@ -14,13 +15,19 @@ from pathlib import Path
 
 import pytest
 
+from winset import rpni, satlearn
 from winset.automata import Alphabet, Nfa, from_words, product_word
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
-from winset.errors import CapExceededError, ExternalSolverError, InternalConsistencyError, SolveTimeout
+from winset.errors import (
+    CapExceededError,
+    ExternalSolverError,
+    InternalConsistencyError,
+    SolveTimeout,
+)
 from winset.learning import LearnOptions
 from winset.prop import CnfInstance, solve_internal
 from winset.rpni import learn_rpni
-from winset.sample import Sample, add, chi, empty_sample, is_consistent
+from winset.sample import Sample, add, chi, dump_sample, empty_sample, is_consistent
 from winset.satlearn import (
     VarBook,
     build_dfa_constraints,
@@ -345,13 +352,145 @@ def test_a_plugged_in_solver_that_lies_unsat_is_caught():
 
 
 def test_learning_is_deterministic():
-    """Two runs learn byte-identical DFAs in as many iterations."""
-    g = generate_benchmark(BenchmarkSpec("evasion", {}))
-    runs = [learn(g) for _ in range(2)]
-    assert runs[0].outcome == runs[1].outcome == "solved"
-    assert serialize_dfa(runs[0].dfa) == serialize_dfa(runs[1].dfa)
-    assert runs[0].iterations == runs[1].iterations
-    assert runs[0].sample == runs[1].sample
+    """Two runs learn byte-identical DFAs from the same samples in as many
+    iterations, through the rpni phase and the sat schedule."""
+    for spec in (BenchmarkSpec("evasion", {}), BenchmarkSpec("follow", {"bound": 2})):
+        g = generate_benchmark(spec)
+        runs = [learn(g) for _ in range(2)]
+        assert runs[0].outcome == runs[1].outcome == "solved"
+        assert serialize_dfa(runs[0].dfa) == serialize_dfa(runs[1].dfa)
+        assert runs[0].iterations == runs[1].iterations
+        assert runs[0].sample == runs[1].sample
+        assert dump_sample(runs[0].sample) == dump_sample(runs[1].sample)
+
+
+def paper_game(family, **params):
+    return generate_benchmark(BenchmarkSpec(family, params))
+
+
+# (family, parameters, minimal size); the sat learner must return these
+PAPER_SIZES = (
+    ("diagonal", {"width": 2}, 5),
+    ("box", {"height": 2}, 5),
+    ("solitary-box", {"height": 2}, 4),
+    ("evasion", {"start": 2}, 6),
+    ("follow", {"bound": 2}, 7),
+    ("program-repair", {}, 6),
+)
+
+
+def recorded_books(monkeypatch):
+    """Every VarBook the learner makes from now on, in order."""
+    made = []
+
+    class Recorded(VarBook):
+        def __init__(self, alphabet, n):
+            super().__init__(alphabet, n)
+            made.append(self)
+
+    monkeypatch.setattr(satlearn, "VarBook", Recorded)
+    return made
+
+
+def test_the_schedule_descends_from_the_rpni_winning_set(monkeypatch):
+    """rpni's winning set bounds the size from above, and the sat phase
+    goes on from rpni's sample.  Below a winning set of size hi it solves
+    φ_{hi-1} alone, in one live book, and one UNSAT ends the run.  box(2):
+    rpni finds 7 states and the minimum is 5; follow(2): rpni's 7 states
+    are the minimum."""
+    for g, rpni_size, sizes in ((paper_game("box", height=2), 7, [6, 5, 4]),
+                                (paper_game("follow", bound=2), 7, [6])):
+        first = learn_rpni(g, LearnOptions(timeout=300 * satlearn.RPNI_SHARE))
+        assert first.outcome == "solved" and first.dfa.state_count == rpni_size
+        made = recorded_books(monkeypatch)
+        res = learn(g)
+        assert res.outcome == "solved" and res.dfa.state_count == sizes[-1] + 1
+        assert query(g, res.dfa) is None
+        assert [book.n for book in made] == sizes
+        assert res.iterations > first.iterations
+        assert rpni._extends(res.sample, first.sample)
+
+
+def test_max_states_on_the_schedule(monkeypatch):
+    """`cap-exceeded` exactly when the minimal size exceeds the cap.  When
+    hi − 1 exceeds the cap, the schedule starts at the cap."""
+    box, follow = paper_game("box", height=2), paper_game("follow", bound=2)
+    cases = [
+        (box, 5, "solved", [5, 4]),  # rpni: 7 states, so hi − 1 = 6 > 5
+        (box, 4, "cap-exceeded", [4]),
+        (follow, 7, "solved", [6]),
+        (follow, 6, "cap-exceeded", [6]),  # φ_6 is UNSAT: the minimum, 7, exceeds the cap
+    ]
+    for g, cap, outcome, sizes in cases:
+        made = recorded_books(monkeypatch)
+        res = learn(g, LearnOptions(max_states=cap))
+        assert (res.outcome, [book.n for book in made]) == (outcome, sizes), cap
+        if outcome == "solved":
+            assert res.dfa.state_count == cap and query(g, res.dfa) is None
+        else:
+            assert res.dfa is None
+
+
+def rpni_runs_out_after(monkeypatch, conjectures):
+    """The rpni phase makes `conjectures` conjectures and then runs out of
+    its share of the timeout, as merging does when it passes its deadline."""
+    real, calls = rpni.merge_learn, []
+
+    def merge_learn(s, solver=None, deadline=None, last=None):
+        calls.append(s)
+        if len(calls) > conjectures:
+            raise SolveTimeout("state merging hit the deadline")
+        return real(s, solver, deadline, last)
+
+    monkeypatch.setattr(rpni, "merge_learn", merge_learn)
+    return calls
+
+
+def test_without_an_rpni_bound_the_schedule_ascends(monkeypatch):
+    """When the rpni phase runs out of its share, the same loop scans up
+    from one state on rpni's sample, and every paper game ends `solved` at
+    its minimal size.  Past the cap, the outcome is `cap-exceeded`, and an
+    unwinnable game still ends as a contradiction."""
+    for family, params, size in PAPER_SIZES:
+        g = paper_game(family, **params)
+        with monkeypatch.context() as patch:
+            calls = rpni_runs_out_after(patch, 2)
+            made = recorded_books(patch)
+            res = learn(g)
+        assert (res.outcome, res.dfa.state_count) == ("solved", size), family
+        assert query(g, res.dfa) is None
+        assert [book.n for book in made] == list(range(1, size + 1)), family
+        assert len(calls) == 3 and res.sample.size() > calls[-1].size(), family
+        assert rpni._extends(res.sample, calls[-1])
+    g = paper_game("follow", bound=2)
+    rpni_runs_out_after(monkeypatch, 0)
+    made = recorded_books(monkeypatch)
+    assert learn(g, LearnOptions(max_states=6)).outcome == "cap-exceeded"
+    assert [book.n for book in made] == [1, 2, 3, 4, 5, 6]
+    demo = Path(__file__).resolve().parent.parent / "demos" / "unwinnable.py"
+    with contextlib.redirect_stdout(io.StringIO()):
+        unwinnable = runpy.run_path(str(demo))["game"]
+    assert learn(unwinnable).outcome == "contradiction"
+
+
+def test_a_plugged_in_solver_that_lies_below_the_bound_is_caught(monkeypatch):
+    """On box(2), rpni's winning set has 7 states and φ_6 is satisfiable.
+    A solver that answers UNSAT on φ_6 raises ExternalSolverError, so the
+    7-state set is never returned as minimal; an honest plugged-in solver
+    learns the internal solver's size."""
+    g = paper_game("box", height=2)
+    made = recorded_books(monkeypatch)
+
+    def liar(cnf, deadline=None):
+        if any(book.n == 6 and cnf is book.cnf for book in made):
+            return None
+        return solve_internal(cnf, deadline)
+
+    with pytest.raises(ExternalSolverError, match="size-6"):
+        learn(g, LearnOptions(solver=liar))
+    honest = lambda cnf, deadline=None: solve_internal(cnf, deadline)
+    res = learn(g, LearnOptions(solver=honest))
+    assert res.outcome == "solved" and res.dfa.state_count == 5
 
 
 def test_pos_forces_accepting_initial():
