@@ -43,16 +43,16 @@ whose rows are filled only when the search reaches them.  When every
 operand is deterministic the search walks single product states;
 otherwise it walks groups of states that share a least access word.
 Acceptance is only ever tested by membership (`in`).
-`_reachable` builds a product out in full, and `determinize` a Subsets.
+`_reachable` builds a product out in full, and `determinize` is
+`_reachable` over a fresh Subsets.
 """
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from operator import contains, getitem
 
-from .errors import AlphabetMismatchError, InvalidWordError, SolveTimeout
+from .errors import AlphabetMismatchError, InvalidWordError, check_deadline
 
 Word = tuple
 
@@ -385,37 +385,30 @@ def accepts(a, u):
 
 def determinize(a):
     """Subset construction; adds a dead sink so the result is total.
-
-    Every row of `Subsets(a)`, filled in order, so subsets are numbered
-    breadth first.
-    """
-    d = Subsets(a)
-    i = 0
-    while i < len(d.subsets):  # filling row i may reach new subsets
-        d.delta[i]
-        i += 1
-    return Dfa(a.alphabet, i, tuple(d.delta[j] for j in range(i)), frozenset(d.accepting))
+    `Subsets(a)` built out by `_reachable`, so subsets are numbered breadth
+    first."""
+    return _reachable(Subsets(a))
 
 
 def _reachable(a, deadline=None):
     """`a` cut to the states reachable from its initial state and renumbered
     breadth first, each state's targets taken symbol by symbol in move-table
-    order: a Dfa for a Dfa, an Nfa for any other automaton (a Product
-    included, which this builds).  Past `deadline` (a time.monotonic()
+    order: a Dfa for a Dfa or a Subsets, an Nfa for any other automaton (a
+    Product included, which this builds).  Past `deadline` (a time.monotonic()
     value, read every 256 states) it raises SolveTimeout."""
     moves = a.moves
     index = {a.initial: 0}
     order = [a.initial]
     for i, p in enumerate(order):  # grows while it is walked
-        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-            raise SolveTimeout("building an automaton hit the deadline")
+        if deadline is not None and i % 256 == 0:
+            check_deadline(deadline, "building an automaton")
         for targets in moves[p]:
             for q in targets:
                 if q not in index:
                     index[q] = len(order)
                     order.append(q)
     accepting = frozenset(i for i, p in enumerate(order) if p in a.accepting)
-    if isinstance(a, Dfa):
+    if isinstance(a, (Dfa, Subsets)):
         delta = tuple(tuple(index[q] for (q,) in moves[p]) for p in order)
         return Dfa(a.alphabet, len(order), delta, accepting)
     trans = frozenset(
@@ -478,8 +471,8 @@ def product_word(positive, negative=(), deadline=None):
     parent = {a.initial: None}  # state -> (state, symbol) that reached it
     order = [a.initial]
     for i, t in enumerate(order):  # grows while it is walked
-        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-            raise SolveTimeout("the shortest-word search hit the deadline")
+        if deadline is not None and i % 256 == 0:
+            check_deadline(deadline, "the shortest-word search")
         for sym, s in enumerate(zip(*map(getitem, tables, t))):
             if s in parent or None in s:
                 continue
@@ -515,8 +508,8 @@ def _group_word(a, deadline):
     parent = [None]  # parent[i] = (group index, symbol) that reached group i
     i = 0
     while i < len(groups):
-        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-            raise SolveTimeout("the shortest-word search hit the deadline")
+        if deadline is not None and i % 256 == 0:
+            check_deadline(deadline, "the shortest-word search")
         group = groups[i]
         if len(group) == 1:  # the rule below, without copying the one row
             reached = moves[group[0]]

@@ -15,7 +15,6 @@ import sys
 from .automata import to_dot
 from .benchmarks import FAMILIES, BenchmarkSpec, game_size, generate_benchmark
 from .errors import (
-    ContradictionError,
     ExternalSolverError,
     GameFormatError,
     InfiniteBranchingError,
@@ -47,6 +46,9 @@ CSV_COLUMNS = (
 STATS_COLUMNS = CSV_COLUMNS + ("solve_s", "teacher_s")
 
 EXIT_BY_OUTCOME = {"solved": 0, "timeout": 1, "cap-exceeded": 1, "contradiction": 2}
+
+# --learner's choices, in the order `bench` runs them
+LEARNERS = {"sat": learn_sat, "rpni": learn_rpni}
 
 
 def _read(path):
@@ -124,8 +126,7 @@ def _run_learner(g, args):
         max_states=args.max_states,
         solver=args.solver,
     )
-    run = learn_sat if args.learner == "sat" else learn_rpni
-    return run(g, opts)
+    return LEARNERS[args.learner](g, opts)
 
 
 def cmd_solve(args):
@@ -216,9 +217,8 @@ def cmd_bench(args):
         _check_writable(args.out)
     rows = []
     for name, g in _suite_games(args):
-        for learner in ("sat", "rpni"):
-            opts = LearnOptions(timeout=args.timeout, solver=args.solver)
-            res = (learn_sat if learner == "sat" else learn_rpni)(g, opts)
+        for learner, run in LEARNERS.items():
+            res = run(g, LearnOptions(timeout=args.timeout, solver=args.solver))
             row = _stats_row(name, g, res)
             rows.append(row)
             print(
@@ -282,7 +282,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="learn a winning set for a game file")
     p.add_argument("game")
-    p.add_argument("--learner", choices=("sat", "rpni"), default="sat")
+    p.add_argument("--learner", choices=tuple(LEARNERS), default="sat")
     p.add_argument("--timeout", type=_timeout, default=LearnOptions.timeout)
     p.add_argument("--max-states", type=_state_cap, default=LearnOptions.max_states,
                    help="SAT learner size cap")
@@ -330,9 +330,6 @@ def main(argv=None):
     except (GameFormatError, InvariantViolation, InfiniteBranchingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ContradictionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (InternalConsistencyError, ExternalSolverError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one deadline read."""
+
+import time
 
 
 class WinsetError(Exception):
@@ -58,6 +60,15 @@ class CapExceededError(WinsetError):
 
 class SolveTimeout(WinsetError):
     """Cooperative wall-clock timeout raised inside a solver or learner."""
+
+
+def check_deadline(deadline, what):
+    """Raise SolveTimeout("<what> hit the deadline") once `deadline`, a
+    time.monotonic() value, has passed; None is no deadline.  Every
+    cooperative deadline read in the package goes through here; a hot loop
+    calls it every 256 steps, behind its own `deadline is not None` test."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeout(f"{what} hit the deadline")
 
 
 class ExternalSolverError(WinsetError):

@@ -11,7 +11,13 @@ backends and the teacher check the same deadline cooperatively.
 import time
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ContradictionError, InternalConsistencyError, SolveTimeout
+from .errors import (
+    CapExceededError,
+    ContradictionError,
+    InternalConsistencyError,
+    SolveTimeout,
+    check_deadline,
+)
 from .prop import solve_internal
 from .sample import add, empty_sample
 from .teacher import compile_game, query
@@ -81,8 +87,7 @@ def run_cegis(game, conjecture, tag, opts=None, prior=None, start=None):
 
     try:
         while True:
-            if time.monotonic() > deadline:
-                return result("timeout")
+            check_deadline(deadline, "the learning loop")
             iterations += 1
             # in a `finally`, so a call the deadline interrupts is counted too
             t0 = time.monotonic()

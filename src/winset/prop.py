@@ -12,8 +12,9 @@ first-UIP learning, phase saving, Luby restarts); it is fully deterministic
 and takes clauses as they come: repeated literals, tautologies and duplicate
 clauses cost time but never change the answer.  An external solver can be
 plugged in through the DIMACS text format; every model it returns is checked
-against the clauses, while its UNSAT verdict is taken on trust here (its
-callers in `sample` and `satlearn` re-prove the ones they act on).
+against the clauses, while its UNSAT verdict is taken on trust by the
+backend itself; `solve_checked`, which `sample` and `satlearn` solve
+through, re-proves every UNSAT they act on with the internal solver.
 
 The internal solver is incremental.  It stays on the instance it solved,
 and a later call on the same instance, after clauses were appended and
@@ -45,7 +46,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from .errors import ExternalSolverError, SolveTimeout
+from .errors import ExternalSolverError, SolveTimeout, check_deadline
 
 
 @dataclass
@@ -302,8 +303,7 @@ class _Cdcl:
         while True:
             steps += 1
             if self.deadline is not None and steps % 256 == 0:
-                if time.monotonic() > self.deadline:
-                    raise SolveTimeout("satisfiability check hit the deadline")
+                check_deadline(self.deadline, "satisfiability check")
             confl = self._propagate()
             if confl is not None:
                 if not self.trail_lim:
@@ -346,6 +346,18 @@ def solve_internal(cnf, deadline=None):
     if solver is None or solver.loaded > len(cnf.clauses) or solver.nv > cnf.var_count:
         solver = cnf.solver = _Cdcl()
     return solver.solve(cnf, deadline)
+
+
+def solve_checked(solver, cnf, deadline, what):
+    """`solver`'s model of `cnf` (the internal solver's when `solver` is
+    None), or None when unsatisfiable.  A plugged-in solver's UNSAT is not
+    trusted until `solve_internal` proves it too; a model there raises
+    ExternalSolverError, naming the CNF as `what`."""
+    solver = solver or solve_internal
+    model = solver(cnf, deadline)
+    if model is None and solver is not solve_internal and solve_internal(cnf, deadline) is not None:
+        raise ExternalSolverError(f"the solver answered UNSAT on a satisfiable {what} CNF")
+    return model
 
 
 # ---------------------------------------------------------------- DIMACS

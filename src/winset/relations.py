@@ -11,8 +11,7 @@ so it is explored only as far as their search goes.  `image` and
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, _reachable, _Rows, from_words
-from .errors import AlphabetMismatchError
+from .automata import Alphabet, _check_same_alphabet, _reachable, _Rows, from_words
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,7 @@ class Image:
     """
 
     def __init__(self, t, x):
-        if x.alphabet != t.alphabet:
-            raise AlphabetMismatchError(
-                f"mixed alphabets: {t.alphabet.symbols} vs {x.alphabet.symbols}"
-            )
+        _check_same_alphabet(t, x)
         self.alphabet = t.alphabet
         self.initial = (x.initial, t.initial)
         xmoves, xfinal, tfinal = x.moves, x.accepting, t.accepting

@@ -24,10 +24,8 @@ needs checking on the new items only.  Replaying stops at the first
 acceptance that the new items overturn (see `merge_learn`).
 """
 
-import time
-
 from .automata import Dfa, _reachable, from_words
-from .errors import InfiniteBranchingError, SolveTimeout
+from .errors import InfiniteBranchingError, check_deadline
 from .learning import run_cegis
 from .sample import Sample, check_contradiction, finite_words
 
@@ -219,8 +217,7 @@ def merge_learn(s, solver=None, deadline=None, last=None):
         anchors = _anchors(s, closure, succ)
     verdicts = []
     for i in range(1, len(parent)):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolveTimeout("state merging hit the deadline")
+        check_deadline(deadline, "state merging")
         if parent[i] != i:
             continue  # already folded into an earlier class
         for j in range(i):

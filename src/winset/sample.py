@@ -6,13 +6,13 @@ existential — u ∈ L(B) implies L(B) ∩ L(A) ≠ ∅; universal — u ∈ L(
 implies L(A) ⊆ L(B).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import automata
 from .automata import accepts, product_word, shortlex_key
-from .errors import ContradictionError, ExternalSolverError, InternalConsistencyError
-from .prop import CnfInstance, solve_internal
+from .errors import ContradictionError, InternalConsistencyError
+from .prop import CnfInstance, solve_checked
 from .teacher import Existential, Negative, Positive, Universal
 
 
@@ -32,27 +32,20 @@ def empty_sample(alphabet):
     return Sample(alphabet)
 
 
+# the Sample field each kind of counterexample goes to
+_FIELD = {Positive: "pos", Negative: "neg", Existential: "ex", Universal: "uni"}
+
+
 def add(s, cex):
     """Append a counterexample to its set; duplicates leave s unchanged."""
-    if isinstance(cex, Positive):
-        if cex.word in s.pos:
-            return s
-        return Sample(s.alphabet, s.pos + (cex.word,), s.neg, s.ex, s.uni)
-    if isinstance(cex, Negative):
-        if cex.word in s.neg:
-            return s
-        return Sample(s.alphabet, s.pos, s.neg + (cex.word,), s.ex, s.uni)
-    if isinstance(cex, Existential):
-        item = (cex.word, cex.consequent)
-        if item in s.ex:
-            return s
-        return Sample(s.alphabet, s.pos, s.neg, s.ex + (item,), s.uni)
-    if isinstance(cex, Universal):
-        item = (cex.word, cex.consequent)
-        if item in s.uni:
-            return s
-        return Sample(s.alphabet, s.pos, s.neg, s.ex, s.uni + (item,))
-    raise InternalConsistencyError(f"not a counterexample: {cex!r}")
+    field = _FIELD.get(type(cex))
+    if field is None:
+        raise InternalConsistencyError(f"not a counterexample: {cex!r}")
+    item = (cex.word, cex.consequent) if field in ("ex", "uni") else cex.word
+    items = getattr(s, field)
+    if item in items:
+        return s
+    return replace(s, **{field: items + (item,)})
 
 
 # each consequent's words, cached: every conjecture asks for them again
@@ -139,7 +132,9 @@ def _split_pairs(acc, rej, prefixes):
     return pairs
 
 
-@lru_cache(maxsize=1)  # each live size's book asks for the same sample
+# one entry: a hit is a fresh book, at the next size the schedule tries,
+# encoding the sample that the book before it has just encoded
+@lru_cache(maxsize=1)
 def distinct_pairs(s):
     """Pairs (u, v) of prefixes of the sample's words (positive, negative
     and antecedents) that every DFA consistent with `s` runs to different
@@ -230,17 +225,15 @@ def check_contradiction(s, solver=None, deadline=None):
     that settles every implication), or None when some consequent is
     infinite.  Raises ContradictionError when chi is unsatisfiable.
 
-    A plugged-in solver's UNSAT is not trusted until the internal solver
-    proves it too; a model there raises ExternalSolverError.
+    A plugged-in solver's UNSAT is re-proved first (`prop.solve_checked`);
+    a model there raises ExternalSolverError.
     """
     built = chi(s)
     if built is None:
         return None
     cnf, var = built
-    model = (solver or solve_internal)(cnf, deadline)
+    model = solve_checked(solver, cnf, deadline, "sample")
     if model is None:
-        if solver not in (None, solve_internal) and solve_internal(cnf, deadline) is not None:
-            raise ExternalSolverError("the solver answered UNSAT on a satisfiable sample CNF")
         raise ContradictionError("sample is contradictory: Player 1 may win from I")
     return frozenset(w for w, v in var.items() if model.get(v, False))
 

@@ -80,18 +80,18 @@ so the plain φ_n is the clause list without those.
 import itertools
 import time
 from dataclasses import replace
+from functools import partial
 
 from . import teacher
 from .automata import Dfa
 from .errors import (
     CapExceededError,
-    ExternalSolverError,
     InfiniteBranchingError,
     InternalConsistencyError,
-    SolveTimeout,
+    check_deadline,
 )
 from .learning import LearnOptions, run_cegis
-from .prop import CnfInstance, solve_internal
+from .prop import CnfInstance, solve_checked
 from .rpni import learn_rpni
 from .sample import check_contradiction, distinct_pairs, finite_words
 
@@ -180,8 +180,7 @@ class VarBook:
             if items[:len(done)] != done:
                 raise ValueError(f"the sample's {kind} items do not extend the encoded ones")
             for i in range(len(done), len(items)):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SolveTimeout("encoding hit the deadline")
+                check_deadline(deadline, "encoding")
                 clauses += encode(self, items[i])
                 self.done[kind] = items[:i + 1]
         new = distinct_pairs(sample) - self.apart
@@ -232,15 +231,11 @@ def build_run_constraints(book, u):
     return out
 
 
-def build_pos(book, u):
+def build_word(book, u, sign):
+    """u's run, ending in a state q with f_q (sign 1, a positive word) or
+    with -f_q (sign -1, a negative one)."""
     out = build_run_constraints(book, u)
-    out += [[-book.x(u, q), book.f(q)] for q in range(book.n)]
-    return out
-
-
-def build_neg(book, u):
-    out = build_run_constraints(book, u)
-    out += [[-book.x(u, q), -book.f(q)] for q in range(book.n)]
+    out += [[-book.x(u, q), sign * book.f(q)] for q in range(book.n)]
     return out
 
 
@@ -337,7 +332,8 @@ def build_ex(book, item):
 
 
 # Sample item lists in the order `VarBook.extend` encodes them.
-_ENCODERS = {"pos": build_pos, "neg": build_neg, "uni": build_uni, "ex": build_ex}
+_ENCODERS = {"pos": partial(build_word, sign=1), "neg": partial(build_word, sign=-1),
+             "uni": build_uni, "ex": build_ex}
 
 
 def build_symmetry(book):
@@ -408,14 +404,15 @@ def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, d
     when φ_{n_cap} is UNSAT too.  It is the smallest of all only when every
     size below the first is refuted.
 
-    `books` (n -> VarBook, kept by the caller) carries the encodings from
-    one call to the next while the sample only grows.  The scan then starts
-    at its least size, each φ_n gets only the new items' clauses, and a
-    size found UNSAT is dropped, since more items keep it UNSAT.  A
-    plugged-in solver's UNSAT is re-proved by `solve_internal` first; a
+    `books` (n -> VarBook, kept by the caller) carries the one live φ_n,
+    with its solver, from one call to the next while the sample only
+    grows.  The scan then starts at its size, and φ_n gets only the new
+    items' clauses.  A size found UNSAT is dropped, since more items keep
+    it UNSAT, before the next size is encoded: `books` is a dict that this
+    call empties, not a book it returns, so the old φ_n is freed first.  A
+    plugged-in solver's UNSAT is re-proved first (`prop.solve_checked`); a
     model there raises ExternalSolverError.
     """
-    solver = solver or solve_internal
     books = {} if books is None else books
     n = min(books, default=1)
     while n <= n_cap:
@@ -423,11 +420,9 @@ def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, d
         if book is None:
             book = books[n] = VarBook(sample.alphabet, n)
         book.extend(sample, deadline)
-        model = solver(book.cnf, deadline)
+        model = solve_checked(solver, book.cnf, deadline, f"size-{n}")
         if model is not None:
             return extract_dfa(model, book)
-        if solver is not solve_internal and solve_internal(book.cnf, deadline) is not None:
-            raise ExternalSolverError(f"the solver answered UNSAT on a satisfiable size-{n} CNF")
         del books[n]
         n += 1
     raise CapExceededError(n_cap)
@@ -464,7 +459,7 @@ def learn(game, opts=None):
         res = None
     winning = res.dfa if res is not None and res.outcome == "solved" else None
     lo = 1
-    books = {}  # the live φ_n: below W, one book at the size being solved
+    books = {}  # the one live φ_n, at the size being solved, W known or not
 
     def conjecture(s, solver, deadline):
         nonlocal lo

@@ -43,11 +43,10 @@ and V0 ∪ V1.  `query` accepts a plain game too and compiles it itself;
 which it raises SolveTimeout.
 """
 
-import time
 from dataclasses import dataclass
 
 from .automata import Nfa, Product, Subsets, product_word, union
-from .errors import SolveTimeout
+from .errors import check_deadline
 from .game import RationalSafetyGame
 from .relations import Image, Transducer, invert, successors
 
@@ -140,26 +139,20 @@ def query(g, c, deadline=None):
     SolveTimeout.
     """
     g = compile_game(g)
-    _before(deadline)
+    check_deadline(deadline, "the teacher")
     u = check_initial(g, c, deadline)
     if u is not None:
         return Positive(u)
-    _before(deadline)
+    check_deadline(deadline, "the teacher")
     u = check_safe(g, c, deadline)
     if u is not None:
         return Negative(u)
-    _before(deadline)
+    check_deadline(deadline, "the teacher")
     hit = check_existential(g, c, deadline)
     if hit is not None:
         return Existential(*hit)
-    _before(deadline)
+    check_deadline(deadline, "the teacher")
     hit = check_universal(g, c, deadline)
     if hit is not None:
         return Universal(*hit)
     return None
-
-
-def _before(deadline):
-    """Raise SolveTimeout when the next check would start past `deadline`."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolveTimeout("the teacher hit the deadline")

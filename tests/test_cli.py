@@ -10,7 +10,7 @@ import os
 import pytest
 
 from winset import cli, satlearn
-from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words
+from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, union
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
 from winset.cli import CSV_COLUMNS, STATS_COLUMNS, main
 from winset.game import RationalSafetyGame, parse_game, serialize_dfa, serialize_game
@@ -268,31 +268,27 @@ def test_solve_rejects_invalid_game(tmp_path, capsys):
     assert "s l l" in err
 
 
-def test_verify_flags_existential_hole(tmp_path, capsys):
-    # {s l^n | n >= 2} keeps Player-0 words but none of their e-successors
-    g = halfline_game(2)
+@pytest.mark.parametrize("check", ["initial", "safe", "existential", "universal"])
+def test_verify_flags_a_losing_dfa(tmp_path, capsys, check):
+    # halfline(2) is won on {s l^n | n >= 2} ∪ {e l^n | n >= 3}
+    a = halfline_game(2).alphabet
+    losing, message = {
+        "initial": (from_words(a, []), "initial vertex 's l l' is missing"),
+        "safe": (union(union(tag_tail(a, "s", 2), tag_tail(a, "e", 3)),
+                       from_words(a, [a.word("e l")])),
+                 "unsafe vertex 'e l' is included"),
+        # keeps Player-0 words but none of their e-successors
+        "existential": (tag_tail(a, "s", 2), "Player-0 vertex 's l l' has no successor inside"),
+        # e l l may step back to s l
+        "universal": (union(tag_tail(a, "s", 2), tag_tail(a, "e", 2)),
+                      "Player-1 vertex 'e l l' can escape"),
+    }[check]
     game = write_halfline(tmp_path)
-    half = determinize(tag_tail(g.alphabet, "s", 2))
-    p = tmp_path / "half.dfa"
-    p.write_text(serialize_dfa(half), encoding="utf-8")
+    p = tmp_path / "losing.dfa"
+    p.write_text(serialize_dfa(determinize(losing)), encoding="utf-8")
     rc = main(["verify", game, str(p)])
-    out = capsys.readouterr().out
     assert rc == 1
-    assert "no successor inside" in out
-    assert "'s l l'" in out
-
-
-def test_verify_flags_missing_initial(tmp_path, capsys):
-    g = halfline_game(2)
-    game = write_halfline(tmp_path)
-    empty = determinize(from_words(g.alphabet, []))
-    p = tmp_path / "empty.dfa"
-    p.write_text(serialize_dfa(empty), encoding="utf-8")
-    rc = main(["verify", game, str(p)])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "is missing" in out
-    assert "'s l l'" in out
+    assert capsys.readouterr().out == f"not a winning set: {message}\n"
 
 
 def test_verify_rejects_partial_dfa(tmp_path, capsys):
@@ -405,6 +401,16 @@ def test_bench_empty_suite_header_only(tmp_path, capsys):
     assert rc == 0
     lines = [ln for ln in out.read_text(encoding="utf-8").splitlines() if ln.strip()]
     assert lines == [",".join(CSV_COLUMNS)]
+
+
+def test_bench_paper_suite_to_stdout(capsys):
+    assert main(["bench", "--suite", "paper"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.DictReader(out[out.index(",".join(CSV_COLUMNS)):].splitlines()))
+    assert len(rows) == 12  # six games, each with sat and rpni
+    assert {row["outcome"] for row in rows} == {"solved"}
+    sat_sizes = [int(row["dfa_size"]) for row in rows if row["learner"] == "sat"]
+    assert sat_sizes == [5, 5, 4, 6, 7, 6]  # minimal, in suite order
 
 
 def test_bench_rerun_identical_except_time(tmp_path, capsys):
