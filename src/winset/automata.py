@@ -17,16 +17,15 @@ Conventions used throughout the package:
 
 Three hot paths read something else, where the move table costs more or
 would change a result:
-  - `product_word` walks a product of deterministic operands as single
-    state tuples, zipping the operands' successor tables: a negative
-    Dfa's or a Subsets' `delta`, and a positive Dfa's or Nfa's
+  - `product_word` zips the operands' successor tables (`_view`): a
+    negative Dfa's or a Subsets' `delta`, and a positive Dfa's or Nfa's
     `live_delta`, one target per move with every missing move and every
     move into a dead state cut (the dead states are found on that table,
-    so no move table is built).  Through the grouped search over move
-    tables, `interval-rpni` took 0.11-0.14 s a pass, not 0.05-0.07 s;
-    without the cut, which stops the teacher's check 2 where a finite
-    conjecture can no longer accept instead of walking all of F, it took
-    0.05-0.08 s, not 0.03-0.04 s;
+    so no move table is built).  Searching move tables instead,
+    `interval-rpni` took 0.11-0.14 s a pass, not 0.05-0.07 s; without
+    the cut, which stops the teacher's check 2 where a finite conjecture
+    can no longer accept instead of walking all of F, it took 0.05-0.08
+    s, not 0.03-0.04 s;
   - `satlearn.build_uni`/`build_ex` loop over an Nfa's `transitions`: the
     solver sees the clauses in that order, so another order changes its
     models;
@@ -35,21 +34,21 @@ would change a result:
 
 Witness and emptiness questions about one automaton, intersections and
 differences are answered by one breadth-first search (`product_word`)
-that walks a `Product` on the fly.  A product's operands are of three
-kinds: a Dfa; any other automaton (an Nfa, or an on-demand automaton
-such as `relations.Image`), read through its move table; and the
-complement of such an automaton, determinized on demand by a `Subsets`
-whose rows are filled only when the search reaches them.  When every
-operand is deterministic the search walks single product states;
-otherwise it walks groups of states that share a least access word.
-Acceptance is only ever tested by membership (`in`).
+that walks a `Product` on the fly.  A product is deterministic: `_view`
+reads each operand once as a successor table, a Dfa or a Subsets as it
+is, a positive Nfa with at most one target per move through its
+`live_delta`, and any other automaton (a nondeterministic or negative
+Nfa, an on-demand automaton such as `relations.Image`, a Product)
+through a fresh `Subsets`, its subset construction, whose rows are
+filled only when the search reaches them.  So the search walks single
+state tuples.  Acceptance is only ever tested by membership (`in`).
 `_reachable` builds a product out in full, and `determinize` is
 `_reachable` over a fresh Subsets.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from operator import contains, getitem
 
 from .errors import AlphabetMismatchError, InvalidWordError, check_deadline
@@ -278,7 +277,10 @@ class Subsets:
 
         def row(i):
             subset = subsets[i]
-            if len(subset) == 1:  # one state's targets are distinct already
+            # one state's targets are distinct already, so its row needs no
+            # set: without this path `interval-rpni`, where F's rows are
+            # one-state subsets, took 0.026 s a pass, not 0.022 s
+            if len(subset) == 1:
                 return tuple(reach(tuple(sorted(targets))) for targets in moves[subset[0]])
             return tuple(reach(tuple(sorted({q for p in subset for q in moves[p][sym]})))
                          for sym in symbols)
@@ -310,54 +312,50 @@ class _ProductRows:
         self.tables = tables
 
     def __getitem__(self, t):
-        return tuple(map(tuple, map(product, *map(getitem, self.tables, t))))
+        return tuple(() if None in s else (s,) for s in zip(*map(getitem, self.tables, t)))
 
 
 class Product:
     """The words every `positive` automaton accepts and no `negative` one
-    does, as an automaton that is walked, never built.
+    does, as a deterministic automaton that is walked, never built.
 
     Its states are tuples of operand states, one per operand, positives
-    first.  An operand is a Dfa, a Subsets or any automaton with
-    `initial`, `moves` and membership in `accepting` (an Nfa, an Image).
-    A negative operand of the last kind is determinized on demand as a
-    fresh Subsets; a negative Dfa or Subsets, total and deterministic, is
-    complemented by flipping acceptance, so a Subsets shared between
-    products (the teacher's F) keeps the rows earlier searches filled.
-    `operands` lists them in that order, each negative one as the Dfa or
-    Subsets whose acceptance is flipped.
-    `moves[t]` is computed when read: per symbol, the tuple of successors
-    in lexicographic order.
+    first.  An operand is any automaton with `initial`, `moves` and
+    membership in `accepting` (an Nfa, a Dfa, a Subsets, an Image, a
+    Product); `_view` reads each one once as a successor table, so a
+    Subsets shared between products (the teacher's F) keeps the rows
+    earlier searches filled.  `tables` lists those tables in operand
+    order.  `moves[t][sym]` is computed when read: () where some table
+    has None, else the 1-tuple of the successor tuple.
     """
 
     def __init__(self, positive, negative=()):
-        negative = [b if isinstance(b, (Dfa, Subsets)) else Subsets(b) for b in negative]
-        self.operands = operands = [*positive, *negative]
-        _check_same_alphabet(*operands)
-        self.alphabet = operands[0].alphabet
-        self.initial = tuple(a.initial for a in operands)
-        self.accepting = _Final(
-            [a.accepting for a in positive]
-            + [b.rejecting if isinstance(b, Subsets)
-               else frozenset(range(b.state_count)) - b.accepting for b in negative]
-        )
-
-    @cached_property
-    def moves(self):
-        return _ProductRows([a.moves for a in self.operands])
+        _check_same_alphabet(*positive, *negative)
+        self.alphabet = positive[0].alphabet
+        self.initial, self.tables, finals = zip(
+            *[_view(a, True) for a in positive], *[_view(b, False) for b in negative])
+        self.accepting = _Final(finals)
+        self.moves = _ProductRows(self.tables)
 
 
-def _successor_table(a, positive):
-    """A deterministic operand's one successor per state and symbol, None
-    where a search need not go: a Subsets' or a negative operand's (a Dfa
-    or a Subsets) `delta`, a positive Dfa's or deterministic Nfa's
-    `live_delta` (None for a missing move or a dead target); None for any
-    other operand."""
-    if isinstance(a, Subsets) or not positive:
-        return a.delta
-    if isinstance(a, (Dfa, Nfa)):
-        return a.live_delta
-    return None
+def _view(a, positive):
+    """`a` read as (initial state, successor table, accepting set), with
+    acceptance flipped when `a` is not `positive`: a Subsets' `delta`; a
+    Dfa's `live_delta` when positive and its `delta` when negative; a
+    positive Nfa's `live_delta` when it has one; for anything else (a
+    nondeterministic or negative Nfa, an Image, a Product) the view of a
+    fresh Subsets over it.  A table holds one target per state and
+    symbol, None where a search need not go: a missing move or a move into
+    a dead state (see `_live`)."""
+    if isinstance(a, Subsets):
+        return a.initial, a.delta, a.accepting if positive else a.rejecting
+    if isinstance(a, Dfa):
+        if positive:
+            return a.initial, a.live_delta, a.accepting
+        return a.initial, a.delta, frozenset(range(a.state_count)) - a.accepting
+    if positive and isinstance(a, Nfa) and a.live_delta is not None:
+        return a.initial, a.live_delta, a.accepting
+    return _view(Subsets(a), positive)
 
 
 def _live(a, table):
@@ -438,36 +436,30 @@ def union(a, b):
 def product_word(positive, negative=(), deadline=None):
     """Shortlex-least word that every `positive` automaton accepts and no
     `negative` one does, or None; `product_word([a])` is the least word of
-    `a`.  Past `deadline` (a time.monotonic() value, read every 256 states
-    or groups) it raises SolveTimeout.
+    `a`.  Past `deadline` (a time.monotonic() value, read every 256
+    states) it raises SolveTimeout.
 
     One forward breadth-first pass over `Product(positive, negative)`,
-    which is walked as far as the search reaches and never built.  States
-    are expanded in queue order, and each symbol in declared order, so
-    they are reached in shortlex order of their least access words, and
-    the first accepting state reached gives the answer.  Each state is
-    reached once, so the search follows each transition at most once and
-    stops at the first accepting state.
+    which is walked as far as the search reaches and never built.  The
+    product is deterministic, so each word leads to one state tuple, and
+    the search zips the operands' successor tables.  States are expanded
+    in queue order, and each symbol in declared order, so they are reached
+    in shortlex order of their least access words, and the first accepting
+    state reached gives the answer.  Each state is reached once, so the
+    search follows each transition at most once.
 
-    When every operand is deterministic (a Dfa, a Subsets, or an Nfa with
-    at most one target per move; a negative Nfa is determinized as a
-    Subsets), each word leads to one product state, and the search walks
-    state tuples, zipping the operands' successor tables.  It prunes a
-    positive Nfa's missing move, and a positive Dfa's or Nfa's move into a
-    dead state, one with no path to an accepting state (`live_delta`): no
-    tuple that holds one leads to an accepting tuple.  The answer stays the
-    same, since dead states are closed under successors: a live tuple's
-    predecessors are live, so live tuples are reached in the same order
-    from the same parents.  Negative operands and Subsets are not pruned.
-    Otherwise it walks groups of states (see `_group_word`).
+    It prunes a positive Nfa's missing move, and a positive Dfa's or Nfa's
+    move into a dead state, one with no path to an accepting state
+    (`live_delta`): no tuple that holds one leads to an accepting tuple.
+    The answer stays the same, since dead states are closed under
+    successors: a live tuple's predecessors are live, so live tuples are
+    reached in the same order from the same parents.  Negative operands
+    and Subsets are not pruned.
     """
     a = Product(positive, negative)
     if a.initial in a.accepting:
         return ()
-    tables = [_successor_table(b, i < len(positive)) for i, b in enumerate(a.operands)]
-    if None in tables:
-        return _group_word(a, deadline)
-    final = a.accepting.sets
+    tables, final = a.tables, a.accepting.sets
     parent = {a.initial: None}  # state -> (state, symbol) that reached it
     order = [a.initial]
     for i, t in enumerate(order):  # grows while it is walked
@@ -484,53 +476,6 @@ def product_word(positive, negative=(), deadline=None):
                     word.append(sym)
                 return tuple(reversed(word))
             order.append(s)
-    return None
-
-
-def _group_word(a, deadline):
-    """`product_word` over a product with a nondeterministic operand.
-
-    The search walks groups of states: a group holds the states whose
-    shortlex-least access word is the group's word.  Groups are expanded
-    in queue order, and each symbol in declared order; the next group is
-    the set of successors not seen in an earlier group.  A state's least
-    access word is some predecessor's least word plus one symbol, so the
-    groups are reached in shortlex order of their words, and the first
-    group that holds an accepting state gives the answer.
-
-    The grouping matters on NFAs.  With 0 -b-> 2, 0 -b-> 3, 2 -b-> 4,
-    3 -a-> 4 and 4 accepting, the states 2 and 3 share the word b; a search
-    over single states would expand 2 before 3 and answer b b, not b a.
-    """
-    moves, accepting = a.moves, a.accepting
-    seen = {a.initial}
-    groups = [(a.initial,)]
-    parent = [None]  # parent[i] = (group index, symbol) that reached group i
-    i = 0
-    while i < len(groups):
-        if deadline is not None and i % 256 == 0:
-            check_deadline(deadline, "the shortest-word search")
-        group = groups[i]
-        if len(group) == 1:  # the rule below, without copying the one row
-            reached = moves[group[0]]
-        else:
-            reached = [set().union(*col) for col in zip(*[moves[p] for p in group])]
-        for sym, targets in enumerate(reached):
-            if not targets:
-                continue
-            nxt = set(targets) - seen
-            if not nxt:
-                continue
-            if any(map(accepting.__contains__, nxt)):
-                word = [sym]
-                while parent[i] is not None:
-                    i, sym = parent[i]
-                    word.append(sym)
-                return tuple(reversed(word))
-            seen |= nxt
-            groups.append(tuple(nxt))
-            parent.append((i, sym))
-        i += 1
     return None
 
 

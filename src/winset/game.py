@@ -21,6 +21,7 @@ File format (UTF-8, `#` starts a comment):
     1 _/l 2
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, arcs, product_word
@@ -110,17 +111,25 @@ def _parse_int(tok, lineno, what):
 
 
 def _parse_automaton_body(lines):
-    lineno, toks = _parse_header(lines, "states", 0)
+    states_lineno, toks = _parse_header(lines, "states", 0)
     if len(toks) != 1:
-        raise _format_error("'states:' takes one number", lineno)
-    n = _parse_int(toks[0], lineno, "state count")
+        raise _format_error("'states:' takes one number", states_lineno)
+    n = _parse_int(toks[0], states_lineno, "state count")
     lineno, toks = _parse_header(lines, "initial", 1)
     if len(toks) != 1:
         raise _format_error("'initial:' takes one state", lineno)
     initial = _parse_int(toks[0], lineno, "initial state")
     lineno, toks = _parse_header(lines, "accepting", 2)
     accepting = frozenset(_parse_int(t, lineno, "accepting state") for t in toks)
-    return n, initial, accepting, lines[3:]
+    rest = lines[3:]
+    # the initial state, the accepting ones and two per move line: a count
+    # past that names states no line uses, and the tables sized by it
+    # would outgrow the file without bound
+    named = 1 + len(accepting) + 2 * len(rest)
+    if n > named:
+        raise _format_error(f"'states:' counts more states than the section names "
+                            f"(at most {named})", states_lineno)
+    return n, initial, accepting, rest
 
 
 def _parse_nfa(lines, alphabet):
@@ -243,10 +252,13 @@ def parse_dfa(text):
     nfa = _parse_nfa(sections["dfa"], alphabet)
     if nfa.initial != 0:
         raise _format_error("[dfa] initial state must be 0")
-    for p, row in enumerate(nfa.moves):
-        for sym, targets in enumerate(row):
-            if len(targets) != 1:
-                what = "is nondeterministic at" if targets else "is missing the transition from"
-                raise _format_error(f"[dfa] {what} state {p} on {alphabet.symbols[sym]!r}")
+    # (state, symbol) pairs in order, without a table of them: each pair
+    # that passes uses up a line, so a bad file stops within one more step
+    targets = Counter((p, sym) for (p, sym, _q) in nfa.transitions)
+    for i in range(nfa.state_count * len(alphabet)):
+        p, sym = divmod(i, len(alphabet))
+        if targets[p, sym] != 1:
+            what = "is nondeterministic at" if targets[p, sym] else "is missing the transition from"
+            raise _format_error(f"[dfa] {what} state {p} on {alphabet.symbols[sym]!r}")
     delta = tuple(tuple(q for (q,) in row) for row in nfa.moves)
     return Dfa(alphabet, nfa.state_count, delta, nfa.accepting)

@@ -478,3 +478,45 @@ def infinitely_branching_game():
         safe=Nfa(sel, 2, 0, frozenset({(0, s, 1), (0, e, 1), (1, l, 1)}), frozenset({1})),
         initial=s_only,
     ))
+
+
+# numeric tokens a mutant puts in place of a number: signs, other bases,
+# expressions, and counts far past any file's size
+ODD_NUMBERS = ("-1", "0", "0x1", "1e3", "10**20", "100000000", "99999999999999999999")
+
+
+def mutate_text(rng, text, edits=3):
+    """`text` after one to `edits` seeded line edits: a line deleted,
+    duplicated, truncated or re-tokenized (tokens shuffled, split or
+    joined), or a numeric token replaced by a neighbour or an ODD_NUMBERS
+    entry."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, edits)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        kind = rng.randrange(5)
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, lines[i])
+        elif kind == 2:
+            lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+        elif kind == 3 and toks:
+            how = rng.randrange(3)
+            if how == 0:
+                rng.shuffle(toks)
+            elif how == 1:
+                j = rng.randrange(len(toks))
+                toks[j:j + 1] = [toks[j][:1], toks[j][1:]]
+            else:
+                toks = ["".join(toks)]
+            lines[i] = " ".join(toks)
+        else:
+            spots = [j for j, tok in enumerate(toks) if tok.isdigit()]
+            if spots:
+                j = rng.choice(spots)
+                toks[j] = rng.choice(ODD_NUMBERS + (str(int(toks[j]) + rng.choice((-1, 1))),))
+                lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"

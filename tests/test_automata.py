@@ -14,6 +14,7 @@ from winset.automata import (
     Dfa,
     Nfa,
     Product,
+    Subsets,
     _reachable,
     accepts,
     determinize,
@@ -145,10 +146,12 @@ def test_boolean_ops_match_set_algebra():
     rng = random.Random(13)
     dfas = random.Random(14)  # apart, so the NFAs drawn stay the same
     words = all_words(2, 5)
+    nondeterministic = 0
     for _ in range(30):
         a = random_nfa(rng, AB, max_states=3)
         b = random_nfa(rng, AB, max_states=3)
         d = random_dfa(dfas, AB)
+        nondeterministic += a.live_delta is None or b.live_delta is None
         la = {w for w in words if nfa_accepts_brute(a, w)}
         lb = {w for w in words if nfa_accepts_brute(b, w)}
         ld = language_upto(d, 5)
@@ -156,8 +159,12 @@ def test_boolean_ops_match_set_algebra():
         # a Dfa operand on either side
         assert {w for w in words if accepts(union(d, a), w)} == ld | la
         assert {w for w in words if accepts(union(b, d), w)} == lb | ld
-        assert {w for w in words if accepts(_reachable(Product([a, b])), w)} == la & lb
-        assert {w for w in words if accepts(_reachable(Product([a], [b])), w)} == la - lb
+        for built, language in ((_reachable(Product([a, b])), la & lb),
+                                (_reachable(Product([a], [b])), la - lb)):
+            assert {w for w in words if accepts(built, w)} == language
+            # a product is deterministic, whatever its operands
+            assert all(len(targets) <= 1 for row in built.moves for targets in row)
+    assert nondeterministic > 10
 
 
 def test_complement_flips_membership():
@@ -408,10 +415,10 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
     # Random products of one to three deterministic operands: positive Dfas
     # and Nfas with at most one target per move, some moves missing, and
     # negative Dfas and NFAs (determinized on demand, so deterministic too).
-    # Each is searched over state tuples; a row of a positive Nfa's table,
-    # as the search walks it, that holds None (a missing move or a dead
-    # target), once read, is a move the search prunes.
-    grouped, pruned = [], set()
+    # A row of a positive Nfa's table, as the search walks it, that holds
+    # None (a missing move or a dead target), once read, is a move the
+    # search prunes.
+    pruned = set()
 
     class Rows(tuple):
         def __getitem__(self, state):
@@ -420,14 +427,15 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
                 pruned.add(trial)
             return row
 
-    table_of = automata._successor_table
+    view_of = automata._view
 
-    def successor_table(a, positive):
-        table = table_of(a, positive)
-        return Rows(table) if isinstance(a, Nfa) and table is not None else table
+    def view(a, positive):
+        initial, table, final = view_of(a, positive)
+        if positive and isinstance(a, Nfa) and table is a.live_delta:
+            table = Rows(table)
+        return initial, table, final
 
-    monkeypatch.setattr(automata, "_successor_table", successor_table)
-    monkeypatch.setattr(automata, "_group_word", lambda a, deadline: grouped.append(a))
+    monkeypatch.setattr(automata, "_view", view)
 
     rng = random.Random(43)
     alphabets = (Alphabet(("a",)), AB, Alphabet(("a", "b", "c")))
@@ -459,8 +467,6 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
             assert got == brute, (positive, negative)
         else:
             assert got is None or len(got) > cap, (positive, negative)
-    # the one-operand searches over `built` take the same path
-    assert grouped == []
     assert exact > 950
     assert len(pruned) > 600
 
@@ -470,16 +476,15 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
         product_word([line], [ab_star()], deadline=time.monotonic() - 1)
     with pytest.raises(SolveTimeout):
         product_word([line, Dfa(AB, 1, ((0, 0),), frozenset({0}))], deadline=time.monotonic() - 1)
-    assert grouped == []
 
 
 def test_product_word_prunes_dead_states_of_positive_operands(monkeypatch):
     # Random products whose positive Dfas and partial Nfas have dead states
     # (no path to an accepting state).  The search walks their `live_delta`,
-    # where a move into a dead state is None; its answer must be the grouped
-    # search's over the product built out in full, which prunes nothing, and
-    # brute force's.  A read row whose None stands for a move the operand
-    # has counts the trial as one where a dead state, not a missing move,
+    # where a move into a dead state is None; its answer must be the search
+    # over their subset constructions, which prunes nothing, and brute
+    # force's.  A read row whose None stands for a move the operand has
+    # counts the trial as one where a dead state, not a missing move,
     # removed a successor; trials whose initial tuple is dead, where every
     # move is cut, count apart as empty.
     cut = set()
@@ -491,17 +496,16 @@ def test_product_word_prunes_dead_states_of_positive_operands(monkeypatch):
                 cut.add(trial)
             return row
 
-    table_of = automata._successor_table
+    view_of = automata._view
 
-    def successor_table(a, positive):
-        table = table_of(a, positive)
-        if not positive or table is None:
-            return table
-        rows = Rows(table)
-        rows.moves = a.moves
-        return rows
+    def view(a, positive):
+        initial, table, final = view_of(a, positive)
+        if positive and isinstance(a, (Dfa, Nfa)) and table is a.live_delta:
+            table = Rows(table)
+            table.moves = a.moves
+        return initial, table, final
 
-    monkeypatch.setattr(automata, "_successor_table", successor_table)
+    monkeypatch.setattr(automata, "_view", view)
 
     rng = random.Random(47)
 
@@ -524,8 +528,8 @@ def test_product_word_prunes_dead_states_of_positive_operands(monkeypatch):
         negative = [random_sparse_nfa(rng, alphabet) if rng.random() < 0.7
                     else random_dfa(rng, alphabet) for _ in range(count - split)]
         got = product_word(positive, negative)
-        built = Product([_reachable(Product(positive, negative))])
-        unpruned = () if built.initial in built.accepting else automata._group_word(built, None)
+        # a Subsets is never pruned
+        unpruned = product_word([Subsets(a) for a in positive], negative)
         assert got == unpruned, (positive, negative)
         if any(a.initial not in automata._coreachable(a) for a in positive):
             empty += 1

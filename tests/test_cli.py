@@ -6,6 +6,7 @@ the exit codes come back as plain return values.
 
 import csv
 import os
+import random
 
 import pytest
 
@@ -14,9 +15,11 @@ from winset.automata import Alphabet, Dfa, Nfa, determinize, from_words, union
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
 from winset.cli import CSV_COLUMNS, STATS_COLUMNS, main
 from winset.game import RationalSafetyGame, parse_game, serialize_dfa, serialize_game
+from winset.learning import LearnOptions
 from winset.prop import solve_internal
+from winset.rpni import learn_rpni
 
-from oracles import infinitely_branching_game
+from oracles import infinitely_branching_game, mutate_text
 
 
 def write_halfline(tmp_path, k=2):
@@ -301,6 +304,57 @@ def test_verify_rejects_partial_dfa(tmp_path, capsys):
     rc = main(["verify", game, str(p)])
     assert rc == 3
     assert "missing the transition" in capsys.readouterr().err
+
+
+def test_a_huge_state_count_is_an_input_error(tmp_path, capsys):
+    # a count far past the states a section's lines name is refused before
+    # any table is sized by it, through solve and through verify alike
+    g = generate_benchmark(BenchmarkSpec("diagonal", {}))
+    lines = serialize_game(g).splitlines()
+    at = lines.index("[safe]") + 1
+    lines[at] = "states: 100000000"
+    game = tmp_path / "huge.game"
+    game.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["solve", str(game)]) == 3
+    assert f"(line {at + 1})" in capsys.readouterr().err
+    dfa = tmp_path / "huge.dfa"
+    text = serialize_dfa(determinize(g.safe))
+    dfa.write_text(text.replace("states: 5", "states: 99999999999999999999"), encoding="utf-8")
+    game.write_text(serialize_game(g), encoding="utf-8")
+    assert main(["verify", str(game), str(dfa)]) == 3
+    assert "(line 5)" in capsys.readouterr().err
+
+
+PAPER_GAMES = ("diagonal", "box", "solitary-box", "evasion", "follow", "program-repair")
+
+
+def test_mutated_game_and_dfa_files_end_in_a_named_outcome(tmp_path, capsys):
+    # Seeded mutants (`mutate_text`) of the paper games' texts, through
+    # solve with both learners, and of those texts and the DFA files rpni
+    # learns on them, through verify: every run ends in exit 0-3, never in
+    # an internal error (exit 4).
+    texts = []
+    for name in PAPER_GAMES:
+        g = generate_benchmark(BenchmarkSpec(name, {}))
+        texts.append((serialize_game(g), serialize_dfa(learn_rpni(g, LearnOptions(timeout=60)).dfa)))
+    game, dfa = tmp_path / "m.game", tmp_path / "m.dfa"
+    rng = random.Random(0)
+    codes = set()
+    for trial, command in enumerate(["verify"] * 400 + ["rpni"] * 200 + ["sat"] * 60):
+        game_text, dfa_text = rng.choice(texts)
+        if command != "verify" or rng.random() < 0.5:
+            game_text = mutate_text(rng, game_text)
+        else:
+            dfa_text = mutate_text(rng, dfa_text)
+        game.write_text(game_text, encoding="utf-8")
+        dfa.write_text(dfa_text, encoding="utf-8")
+        argv = (["verify", str(game), str(dfa)] if command == "verify"
+                else ["solve", str(game), "--learner", command, "--timeout", "0.5"])
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2, 3), (trial, argv, err, game_text, dfa_text)
+        codes.add(rc)
+    assert codes == {0, 1, 2, 3}
 
 
 def test_verify_dfa_over_another_alphabet_is_an_input_error(tmp_path, capsys):

@@ -146,3 +146,32 @@ accepting: 1
         parse_dfa(doubled)
     ok = parse_dfa(serialize_dfa(Dfa(A, 1, ((0, 0),), frozenset({0}))))
     assert ok.state_count == 1
+    # a count its lines can name, but not cover: the first gap is named
+    with pytest.raises(GameFormatError) as err:
+        parse_dfa(partial.replace("states: 2", "states: 3"))
+    assert "missing the transition from state 0 on 'b'" in str(err.value)
+    with pytest.raises(GameFormatError) as err:
+        parse_dfa(doubled)
+    assert "nondeterministic at state 0 on 'a'" in str(err.value)
+
+
+def test_a_state_count_past_what_the_lines_name_is_rejected():
+    # one accepting state and one move line name at most 1 + 1 + 2 states
+    section = "states: {}\ninitial: 0\naccepting: 1\n0 a 1\n"
+    dfa = "[alphabet]\na\n[dfa]\n" + section
+    with pytest.raises(GameFormatError) as err:
+        parse_dfa(dfa.format(4))
+    assert "missing the transition from state 1" in str(err.value)  # 4 passes the count
+    for count in (5, 100000000, 99999999999999999999):
+        with pytest.raises(GameFormatError) as err:
+            parse_dfa(dfa.format(count))
+        assert err.value.line == 4 and "at most 4" in str(err.value)
+    # in a game section, and in the transducer section too
+    lines = serialize_game(halfline(1)).splitlines()
+    for name in ("safe", "edges"):
+        text = list(lines)
+        i = text.index(f"[{name}]") + 1
+        text[i] = "states: 100000000"
+        with pytest.raises(GameFormatError) as err:
+            parse_game("\n".join(text))
+        assert err.value.line == i + 1
