@@ -17,15 +17,16 @@ Conventions used throughout the package:
 
 Three hot paths read something else, where the move table costs more or
 would change a result:
-  - `product_word` zips the operands' successor tables (`_view`): a
-    negative Dfa's or a Subsets' `delta`, and a positive Dfa's or Nfa's
+  - `product_word` walks a product of deterministic operands as single
+    state tuples, zipping the operands' successor tables: a negative
+    Dfa's or a Subsets' `delta`, and a positive Dfa's or Nfa's
     `live_delta`, one target per move with every missing move and every
     move into a dead state cut (the dead states are found on that table,
-    so no move table is built).  Searching move tables instead,
-    `interval-rpni` took 0.11-0.14 s a pass, not 0.05-0.07 s; without
-    the cut, which stops the teacher's check 2 where a finite conjecture
-    can no longer accept instead of walking all of F, it took 0.05-0.08
-    s, not 0.03-0.04 s;
+    so no move table is built).  Through the grouped search over move
+    tables, `interval-rpni` took 0.11-0.14 s a pass, not 0.05-0.07 s;
+    without the cut, which stops the teacher's check 2 where a finite
+    conjecture can no longer accept instead of walking all of F, it took
+    0.05-0.08 s, not 0.03-0.04 s;
   - `satlearn.build_uni`/`build_ex` loop over an Nfa's `transitions`: the
     solver sees the clauses in that order, so another order changes its
     models;
@@ -34,21 +35,25 @@ would change a result:
 
 Witness and emptiness questions about one automaton, intersections and
 differences are answered by one breadth-first search (`product_word`)
-that walks a `Product` on the fly.  A product is deterministic: `_view`
-reads each operand once as a successor table, a Dfa or a Subsets as it
-is, a positive Nfa with at most one target per move through its
-`live_delta`, and any other automaton (a nondeterministic or negative
-Nfa, an on-demand automaton such as `relations.Image`, a Product)
-through a fresh `Subsets`, its subset construction, whose rows are
-filled only when the search reaches them.  So the search walks single
-state tuples.  Acceptance is only ever tested by membership (`in`).
-`_reachable` builds a product out in full, and `determinize` is
-`_reachable` over a fresh Subsets.
+that walks a `Product` on the fly.  `_view` reads each operand once as a
+successor table: a Dfa or a Subsets as it is, a positive Nfa with at
+most one target per move through its `live_delta`, and a negative Nfa
+or on-demand automaton (such as `relations.Image`) through a fresh
+`Subsets`, its subset construction, whose rows are filled only when the
+search reaches them.  Such a product is deterministic, and the search
+walks single state tuples.  A positive operand that is not deterministic
+(an Nfa with two targets on a move, an Image, a Product) is read through
+its move table instead, since its subset construction can reach
+exponentially many subsets before the least word; the search then walks
+groups of states that share a least access word (`_group_word`), which
+visit each product state once.  Acceptance is only ever tested by
+membership (`in`).  `_reachable` builds a product out in full, and
+`determinize` is `_reachable` over a fresh Subsets.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from operator import contains, getitem
 
 from .errors import AlphabetMismatchError, InvalidWordError, check_deadline
@@ -305,8 +310,8 @@ class _Final:
 
 
 class _ProductRows:
-    """A Product's move table, computed on every read and kept nowhere: a
-    search reads each row once."""
+    """A deterministic Product's move table, computed on every read and
+    kept nowhere: a search reads each row once."""
 
     def __init__(self, tables):
         self.tables = tables
@@ -315,46 +320,66 @@ class _ProductRows:
         return tuple(() if None in s else (s,) for s in zip(*map(getitem, self.tables, t)))
 
 
+class _ChoiceRows(_ProductRows):
+    """A nondeterministic Product's move table, read off the operands'
+    move tables: per symbol, the tuple of successors in lexicographic
+    order."""
+
+    def __getitem__(self, t):
+        return tuple(map(tuple, map(product, *map(getitem, self.tables, t))))
+
+
 class Product:
     """The words every `positive` automaton accepts and no `negative` one
-    does, as a deterministic automaton that is walked, never built.
+    does, as an automaton that is walked, never built.
 
     Its states are tuples of operand states, one per operand, positives
     first.  An operand is any automaton with `initial`, `moves` and
     membership in `accepting` (an Nfa, a Dfa, a Subsets, an Image, a
-    Product); `_view` reads each one once as a successor table, so a
-    Subsets shared between products (the teacher's F) keeps the rows
-    earlier searches filled.  `tables` lists those tables in operand
-    order.  `moves[t][sym]` is computed when read: () where some table
-    has None, else the 1-tuple of the successor tuple.
+    Product); `_view` reads each one once, a negative one that is not
+    total and deterministic through a fresh Subsets, so a Subsets shared
+    between products (the teacher's F) keeps the rows earlier searches
+    filled.  `tables` lists the operands' successor tables in that order,
+    None for a positive operand that is not deterministic.  Without such
+    an operand the product is deterministic: `moves[t][sym]` is () where
+    some table has None, else the 1-tuple of the successor tuple.  With
+    one, `moves[t][sym]` is read off the operands' move tables.  Either
+    way it is computed when read.
     """
 
     def __init__(self, positive, negative=()):
         _check_same_alphabet(*positive, *negative)
         self.alphabet = positive[0].alphabet
-        self.initial, self.tables, finals = zip(
+        read, self.tables, finals = zip(
             *[_view(a, True) for a in positive], *[_view(b, False) for b in negative])
+        self.initial = tuple(b.initial for b in read)
         self.accepting = _Final(finals)
-        self.moves = _ProductRows(self.tables)
+        if None in self.tables:
+            self.moves = _ChoiceRows([b.moves for b in read])
+        else:
+            self.moves = _ProductRows(self.tables)
 
 
 def _view(a, positive):
-    """`a` read as (initial state, successor table, accepting set), with
-    acceptance flipped when `a` is not `positive`: a Subsets' `delta`; a
-    Dfa's `live_delta` when positive and its `delta` when negative; a
-    positive Nfa's `live_delta` when it has one; for anything else (a
-    nondeterministic or negative Nfa, an Image, a Product) the view of a
-    fresh Subsets over it.  A table holds one target per state and
-    symbol, None where a search need not go: a missing move or a move into
-    a dead state (see `_live`)."""
+    """(`b`, table, accepting set): `a` read as the automaton `b`, `a`
+    itself or its subset construction, with `b`'s successor table and
+    with acceptance flipped when `a` is not `positive`.  A Subsets' table
+    is its `delta`; a Dfa's is its `live_delta` when positive and its
+    `delta` when negative; a positive Nfa's is its `live_delta`, None when
+    some move has two targets; any other positive operand (an Image, a
+    Product) has None, and the search reads its move table.  Any other
+    negative operand (an Nfa, an Image, a Product) is read as a fresh
+    Subsets over it.  A table holds one target per state and symbol, None
+    where a search need not go: a missing move or a move into a dead state
+    (see `_live`)."""
     if isinstance(a, Subsets):
-        return a.initial, a.delta, a.accepting if positive else a.rejecting
+        return a, a.delta, a.accepting if positive else a.rejecting
     if isinstance(a, Dfa):
         if positive:
-            return a.initial, a.live_delta, a.accepting
-        return a.initial, a.delta, frozenset(range(a.state_count)) - a.accepting
-    if positive and isinstance(a, Nfa) and a.live_delta is not None:
-        return a.initial, a.live_delta, a.accepting
+            return a, a.live_delta, a.accepting
+        return a, a.delta, frozenset(range(a.state_count)) - a.accepting
+    if positive:
+        return a, a.live_delta if isinstance(a, Nfa) else None, a.accepting
     return _view(Subsets(a), positive)
 
 
@@ -436,29 +461,33 @@ def union(a, b):
 def product_word(positive, negative=(), deadline=None):
     """Shortlex-least word that every `positive` automaton accepts and no
     `negative` one does, or None; `product_word([a])` is the least word of
-    `a`.  Past `deadline` (a time.monotonic() value, read every 256
-    states) it raises SolveTimeout.
+    `a`.  Past `deadline` (a time.monotonic() value, read every 256 states
+    or groups) it raises SolveTimeout.
 
     One forward breadth-first pass over `Product(positive, negative)`,
-    which is walked as far as the search reaches and never built.  The
-    product is deterministic, so each word leads to one state tuple, and
-    the search zips the operands' successor tables.  States are expanded
-    in queue order, and each symbol in declared order, so they are reached
-    in shortlex order of their least access words, and the first accepting
-    state reached gives the answer.  Each state is reached once, so the
-    search follows each transition at most once.
+    which is walked as far as the search reaches and never built.  States
+    are expanded in queue order, and each symbol in declared order, so
+    they are reached in shortlex order of their least access words, and
+    the first accepting state reached gives the answer.  Each state is
+    reached once, so the search follows each transition at most once.
 
-    It prunes a positive Nfa's missing move, and a positive Dfa's or Nfa's
-    move into a dead state, one with no path to an accepting state
-    (`live_delta`): no tuple that holds one leads to an accepting tuple.
-    The answer stays the same, since dead states are closed under
+    When the product is deterministic (every positive operand is: a Dfa,
+    a Subsets, or an Nfa with at most one target per move), each word
+    leads to one state tuple, and the search zips the operands' successor
+    tables.  It prunes a positive Nfa's missing move, and a positive Dfa's
+    or Nfa's move into a dead state, one with no path to an accepting
+    state (`live_delta`): no tuple that holds one leads to an accepting
+    tuple.  The answer stays the same, since dead states are closed under
     successors: a live tuple's predecessors are live, so live tuples are
     reached in the same order from the same parents.  Negative operands
-    and Subsets are not pruned.
+    and Subsets are not pruned.  Otherwise it walks groups of states (see
+    `_group_word`).
     """
     a = Product(positive, negative)
     if a.initial in a.accepting:
         return ()
+    if None in a.tables:
+        return _group_word(a, deadline)
     tables, final = a.tables, a.accepting.sets
     parent = {a.initial: None}  # state -> (state, symbol) that reached it
     order = [a.initial]
@@ -476,6 +505,57 @@ def product_word(positive, negative=(), deadline=None):
                     word.append(sym)
                 return tuple(reversed(word))
             order.append(s)
+    return None
+
+
+def _group_word(a, deadline):
+    """`product_word` over a nondeterministic product `a`.
+
+    The search walks groups of states: a group holds the states whose
+    shortlex-least access word is the group's word.  Groups are expanded
+    in queue order, and each symbol in declared order; the next group is
+    the set of successors not seen in an earlier group.  A state's least
+    access word is some predecessor's least word plus one symbol, so the
+    groups are reached in shortlex order of their words, and the first
+    group that holds an accepting state gives the answer.  The groups are
+    disjoint, so the search expands each product state once, where the
+    subset construction of a nondeterministic operand could reach
+    exponentially many subsets first: for (a|b)* a (a|b)^n, about 2^n
+    before the least word a^(n+1).
+
+    The grouping matters on NFAs.  With 0 -b-> 2, 0 -b-> 3, 2 -b-> 4,
+    3 -a-> 4 and 4 accepting, the states 2 and 3 share the word b; a search
+    over single states would expand 2 before 3 and answer b b, not b a.
+    """
+    moves, accepting = a.moves, a.accepting
+    seen = {a.initial}
+    groups = [(a.initial,)]
+    parent = [None]  # parent[i] = (group index, symbol) that reached group i
+    i = 0
+    while i < len(groups):
+        if deadline is not None and i % 256 == 0:
+            check_deadline(deadline, "the shortest-word search")
+        group = groups[i]
+        if len(group) == 1:  # the rule below, without copying the one row
+            reached = moves[group[0]]
+        else:
+            reached = [set().union(*col) for col in zip(*[moves[p] for p in group])]
+        for sym, targets in enumerate(reached):
+            if not targets:
+                continue
+            nxt = set(targets) - seen
+            if not nxt:
+                continue
+            if any(map(accepting.__contains__, nxt)):
+                word = [sym]
+                while parent[i] is not None:
+                    i, sym = parent[i]
+                    word.append(sym)
+                return tuple(reversed(word))
+            seen |= nxt
+            groups.append(tuple(nxt))
+            parent.append((i, sym))
+        i += 1
     return None
 
 

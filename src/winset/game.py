@@ -22,7 +22,7 @@ File format (UTF-8, `#` starts a comment):
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, arcs, product_word
 from .errors import GameFormatError, InvalidWordError, InvariantViolation
@@ -205,8 +205,24 @@ def _dump_section(out, name, a, moves):
     out.append("")
 
 
+def _readable(a):
+    """`a`, an Nfa, a Dfa or a Transducer, or, when its state count is past
+    what the reader takes (1 + |accepting| + 2 per move line, see
+    `_parse_automaton_body`), `a` with the states that appear in no line
+    left out and the others numbered down in order: the same language, in
+    a section the reader takes back."""
+    if isinstance(a, Dfa) or a.state_count <= 1 + len(a.accepting) + 2 * len(a.transitions):
+        return a  # a Dfa is total: every state has a move line
+    used = sorted({a.initial, *a.accepting}.union(*((t[0], t[-1]) for t in a.transitions)))
+    number = dict(zip(used, range(len(used)))).__getitem__
+    return replace(a, state_count=len(used), initial=number(a.initial),
+                   transitions={(number(t[0]), *t[1:-1], number(t[-1])) for t in a.transitions},
+                   accepting=map(number, a.accepting))
+
+
 def _dump_nfa(out, name, a):
     """Append an automaton section, an Nfa's or a Dfa's."""
+    a = _readable(a)
     symbols = a.alphabet.symbols
     _dump_section(out, name, a, (f"{p} {symbols[sym]} {q}" for (p, sym, q) in arcs(a)))
 
@@ -219,9 +235,10 @@ def serialize_game(g):
     out = ["[alphabet]", " ".join(g.alphabet.symbols), ""]
     _dump_nfa(out, "v0", g.v0)
     _dump_nfa(out, "v1", g.v1)
-    _dump_section(out, "edges", g.edges, (
+    edges = _readable(g.edges)
+    _dump_section(out, "edges", edges, (
         f"{p} {_label_text(g.alphabet, a)}/{_label_text(g.alphabet, b)} {q}"
-        for (p, a, b, q) in sorted(g.edges.transitions, key=transition_key)
+        for (p, a, b, q) in sorted(edges.transitions, key=transition_key)
     ))
     _dump_nfa(out, "safe", g.safe)
     _dump_nfa(out, "initial", g.initial)

@@ -520,3 +520,13 @@ def mutate_text(rng, text, edits=3):
                 toks[j] = rng.choice(ODD_NUMBERS + (str(int(toks[j]) + rng.choice((-1, 1))),))
                 lines[i] = " ".join(toks)
     return "\n".join(lines) + "\n"
+
+
+def nth_last_is_a(alphabet, n):
+    """Nfa for (a|b)* a (a|b)^n over `alphabet`'s first two symbols, with
+    n + 2 states: its subset construction has about 2^(n+1) subsets, and
+    the least of its words is a^(n+1)."""
+    a, b = 0, 1
+    trans = {(0, a, 0), (0, b, 0), (0, a, 1)}
+    trans |= {(i, sym, i + 1) for i in range(1, n + 1) for sym in (a, b)}
+    return Nfa(alphabet, n + 2, 0, frozenset(trans), frozenset({n + 1}))

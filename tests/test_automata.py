@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from functools import cached_property
 
 import pytest
 
@@ -30,6 +31,7 @@ from oracles import (
     all_words,
     language_upto,
     nfa_accepts_brute,
+    nth_last_is_a,
     product_word_brute,
     random_dfa,
     random_nfa,
@@ -146,12 +148,13 @@ def test_boolean_ops_match_set_algebra():
     rng = random.Random(13)
     dfas = random.Random(14)  # apart, so the NFAs drawn stay the same
     words = all_words(2, 5)
-    nondeterministic = 0
+    determinized = 0
     for _ in range(30):
         a = random_nfa(rng, AB, max_states=3)
         b = random_nfa(rng, AB, max_states=3)
         d = random_dfa(dfas, AB)
-        nondeterministic += a.live_delta is None or b.live_delta is None
+        # deterministic products over a nondeterministic negative operand
+        determinized += a.live_delta is None
         la = {w for w in words if nfa_accepts_brute(a, w)}
         lb = {w for w in words if nfa_accepts_brute(b, w)}
         ld = language_upto(d, 5)
@@ -159,12 +162,15 @@ def test_boolean_ops_match_set_algebra():
         # a Dfa operand on either side
         assert {w for w in words if accepts(union(d, a), w)} == ld | la
         assert {w for w in words if accepts(union(b, d), w)} == lb | ld
-        for built, language in ((_reachable(Product([a, b])), la & lb),
-                                (_reachable(Product([a], [b])), la - lb)):
+        for positive, negative, language in (([a, b], [], la & lb), ([a], [b], la - lb),
+                                             ([d], [a], ld - la)):
+            built = _reachable(Product(positive, negative))
             assert {w for w in words if accepts(built, w)} == language
-            # a product is deterministic, whatever its operands
-            assert all(len(targets) <= 1 for row in built.moves for targets in row)
-    assert nondeterministic > 10
+            # a product is deterministic when its positive operands are:
+            # a negative one is determinized on demand
+            if all(x.live_delta is not None for x in positive):
+                assert all(len(targets) <= 1 for row in built.moves for targets in row)
+    assert determinized > 10
 
 
 def test_complement_flips_membership():
@@ -372,6 +378,35 @@ def test_product_word_breaks_ties_between_product_states_with_one_access_word():
     assert product_word([anything], [tie]) == ()
 
 
+def test_product_word_over_a_nondeterministic_operand_reads_each_state_once():
+    # The subset construction of (a|b)* a (a|b)^30 reaches about 2^30
+    # subsets before its least word a^31; the grouped search expands each
+    # state of a product over it once.  Each read of a row of its move table
+    # is counted, and a read past a few per state fails, so a search that
+    # would blow up stops at once.
+    reads = []
+
+    class Rows(tuple):
+        def __getitem__(self, state):
+            reads.append(state)
+            assert len(reads) <= 4 * len(self), "rows read past a few per state"
+            return tuple.__getitem__(self, state)
+
+    class Counted(Nfa):
+        @cached_property
+        def moves(self):
+            return Rows(Nfa.moves.func(self))
+
+    v = nth_last_is_a(AB, 30)
+    v = Counted(AB, v.state_count, v.initial, v.transitions, v.accepting)
+    has_b = Dfa(AB, 2, ((0, 1), (1, 1)), frozenset({1}))
+    for positive, negative, word in (([v], [], "a " * 31), ([v], [has_b], "a " * 31),
+                                     ([v, has_b], [], "a " * 30 + "b")):
+        reads.clear()
+        assert product_word(positive, negative) == AB.word(word)
+        assert reads
+
+
 def test_product_word_matches_built_products_and_brute_force():
     # Random products of two or three operands (NFAs and DFAs, negated
     # NFAs determinized on demand) over one to three symbols, against the
@@ -415,10 +450,10 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
     # Random products of one to three deterministic operands: positive Dfas
     # and Nfas with at most one target per move, some moves missing, and
     # negative Dfas and NFAs (determinized on demand, so deterministic too).
-    # A row of a positive Nfa's table, as the search walks it, that holds
-    # None (a missing move or a dead target), once read, is a move the
-    # search prunes.
-    pruned = set()
+    # Each is searched over state tuples; a row of a positive Nfa's table,
+    # as the search walks it, that holds None (a missing move or a dead
+    # target), once read, is a move the search prunes.
+    grouped, pruned = [], set()
 
     class Rows(tuple):
         def __getitem__(self, state):
@@ -430,12 +465,13 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
     view_of = automata._view
 
     def view(a, positive):
-        initial, table, final = view_of(a, positive)
+        read, table, final = view_of(a, positive)
         if positive and isinstance(a, Nfa) and table is a.live_delta:
             table = Rows(table)
-        return initial, table, final
+        return read, table, final
 
     monkeypatch.setattr(automata, "_view", view)
+    monkeypatch.setattr(automata, "_group_word", lambda a, deadline: grouped.append(a))
 
     rng = random.Random(43)
     alphabets = (Alphabet(("a",)), AB, Alphabet(("a", "b", "c")))
@@ -467,6 +503,8 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
             assert got == brute, (positive, negative)
         else:
             assert got is None or len(got) > cap, (positive, negative)
+    # the one-operand searches over `built` take the same path
+    assert grouped == []
     assert exact > 950
     assert len(pruned) > 600
 
@@ -476,6 +514,7 @@ def test_product_word_over_deterministic_operands_matches_built_products_and_bru
         product_word([line], [ab_star()], deadline=time.monotonic() - 1)
     with pytest.raises(SolveTimeout):
         product_word([line, Dfa(AB, 1, ((0, 0),), frozenset({0}))], deadline=time.monotonic() - 1)
+    assert grouped == []
 
 
 def test_product_word_prunes_dead_states_of_positive_operands(monkeypatch):
@@ -499,11 +538,11 @@ def test_product_word_prunes_dead_states_of_positive_operands(monkeypatch):
     view_of = automata._view
 
     def view(a, positive):
-        initial, table, final = view_of(a, positive)
+        read, table, final = view_of(a, positive)
         if positive and isinstance(a, (Dfa, Nfa)) and table is a.live_delta:
             table = Rows(table)
             table.moves = a.moves
-        return initial, table, final
+        return read, table, final
 
     monkeypatch.setattr(automata, "_view", view)
 

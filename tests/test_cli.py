@@ -332,14 +332,16 @@ def test_mutated_game_and_dfa_files_end_in_a_named_outcome(tmp_path, capsys):
     # Seeded mutants (`mutate_text`) of the paper games' texts, through
     # solve with both learners, and of those texts and the DFA files rpni
     # learns on them, through verify: every run ends in exit 0-3, never in
-    # an internal error (exit 4).
+    # an internal error (exit 4).  Which of 0-3 a solve run ends in may
+    # turn on its timeout; a verify run's does not, so verify's codes alone
+    # are asked to cover the outcomes it has.
     texts = []
     for name in PAPER_GAMES:
         g = generate_benchmark(BenchmarkSpec(name, {}))
         texts.append((serialize_game(g), serialize_dfa(learn_rpni(g, LearnOptions(timeout=60)).dfa)))
     game, dfa = tmp_path / "m.game", tmp_path / "m.dfa"
     rng = random.Random(0)
-    codes = set()
+    verify_codes = set()
     for trial, command in enumerate(["verify"] * 400 + ["rpni"] * 200 + ["sat"] * 60):
         game_text, dfa_text = rng.choice(texts)
         if command != "verify" or rng.random() < 0.5:
@@ -353,8 +355,9 @@ def test_mutated_game_and_dfa_files_end_in_a_named_outcome(tmp_path, capsys):
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc in (0, 1, 2, 3), (trial, argv, err, game_text, dfa_text)
-        codes.add(rc)
-    assert codes == {0, 1, 2, 3}
+        if command == "verify":
+            verify_codes.add(rc)
+    assert verify_codes == {0, 1, 3}
 
 
 def test_verify_dfa_over_another_alphabet_is_an_input_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from winset.automata import Alphabet, Dfa, accepts, determinize
+from winset import automata
+from winset.automata import Alphabet, Dfa, Nfa, accepts, determinize, product_word
 from winset.benchmarks import BenchmarkSpec, generate_benchmark
 from winset.errors import GameFormatError, InvariantViolation
 from winset.game import (
@@ -12,8 +13,10 @@ from winset.game import (
     serialize_dfa,
     serialize_game,
 )
+from winset.relations import Transducer
+from winset.teacher import query
 
-from oracles import language_upto, pair_accepted_brute
+from oracles import language_upto, nth_last_is_a, pair_accepted_brute
 
 BAD_OVERLAP = """\
 [alphabet]
@@ -55,6 +58,69 @@ def test_serialize_parse_roundtrip():
     for u in language_upto(g.v0, 3) | language_upto(g.v1, 3):
         for v in language_upto(g.v0, 4) | language_upto(g.v1, 4):
             assert pair_accepted_brute(h.edges, u, v) == pair_accepted_brute(g.edges, u, v)
+
+
+def test_every_game_written_reads_back():
+    # States that appear in no line: every state number multiplied by k,
+    # so the numbers between are unused.  Written as they are while the
+    # reader takes the count (k = 2 here); past that (k = 100) the writer
+    # leaves the unused states out and numbers the rest down, which gives
+    # the text of the game as it was.
+    g = halfline(2)
+
+    def spread(k):
+        def nfa(a):
+            return Nfa(a.alphabet, k * a.state_count, k * a.initial,
+                       frozenset((k * p, sym, k * q) for (p, sym, q) in a.transitions),
+                       frozenset(k * q for q in a.accepting))
+
+        e = g.edges
+        edges = Transducer(g.alphabet, k * e.state_count, k * e.initial,
+                           frozenset((k * p, x, y, k * q) for (p, x, y, q) in e.transitions),
+                           frozenset(k * q for q in e.accepting))
+        return RationalSafetyGame(g.alphabet, nfa(g.v0), nfa(g.v1), edges, nfa(g.safe), nfa(g.initial))
+
+    two = serialize_game(spread(2))
+    assert "states: 8" in two and two != serialize_game(g)
+    h = parse_game(two)
+    for name in ("v0", "v1", "safe", "initial"):
+        assert language_upto(getattr(h, name), 5) == language_upto(getattr(g, name), 5)
+    assert serialize_game(spread(100)) == serialize_game(g)
+    # an automaton with no moves and no accepting state is one state
+    empty = Nfa(g.alphabet, 3, 0, frozenset(), frozenset())
+    text = serialize_game(RationalSafetyGame(g.alphabet, g.v0, g.v1, g.edges, g.safe, empty))
+    assert text.endswith("[initial]\nstates: 1\ninitial: 0\naccepting: \n")
+    assert product_word([parse_game(text).initial]) is None
+
+
+def test_a_nondeterministic_v0_is_searched_without_its_subset_construction(monkeypatch):
+    # v0 = (a|b)* a (a|b)^30.  Reading the game checks that v0 is not
+    # empty, and the teacher searches products over v0 and V0 ∪ V1; the
+    # subset construction of v0 would reach about 2^30 subsets before the
+    # least word a^31.  Every subset construction is capped at 1000 rows
+    # here, so a search that built v0's stops at once.
+    class Capped(automata._Rows):
+        def __missing__(self, state):
+            assert len(self) < 1000, "a subset construction grew past 1000 rows"
+            return super().__missing__(state)
+
+    monkeypatch.setattr(automata, "_Rows", Capped)
+    A = Alphabet(("a", "b"))
+    eps = Nfa(A, 1, 0, frozenset(), frozenset({0}))
+    everything = Nfa(A, 1, 0, frozenset({(0, 0, 0), (0, 1, 0)}), frozenset({0}))
+    no_edges = Transducer(A, 1, 0, frozenset(), frozenset())
+    g = RationalSafetyGame(A, nth_last_is_a(A, 30), eps, no_edges, everything, eps)
+    h = parse_game(serialize_game(g))
+    assert product_word([h.v0]) == A.word("a " * 31)
+    # {ε} is a winning set: it holds I, and its one vertex, of Player 1,
+    # has no successor; checks 3 and 4 search products over v0 and V0 ∪ V1
+    only_eps = Dfa(A, 2, ((1, 1), (1, 1)), frozenset({0}))
+    assert query(h, only_eps) is None
+    # a^31 ∪ {ε} holds a vertex of Player 0 with no successor: check 3
+    # answers with it
+    a31 = Dfa(A, 33, tuple((min(i + 1, 32), 32) for i in range(33)), frozenset({0, 31}))
+    hit = query(h, a31)
+    assert hit is not None and hit.word == A.word("a " * 31)
 
 
 def test_comments_and_blank_lines_ignored():
