@@ -35,20 +35,23 @@ would change a result:
 
 Witness and emptiness questions about one automaton, intersections and
 differences are answered by one breadth-first search (`product_word`)
-that walks a `Product` on the fly.  `_view` reads each operand once as a
-successor table: a Dfa or a Subsets as it is, a positive Nfa with at
-most one target per move through its `live_delta`, and a negative Nfa
-or on-demand automaton (such as `relations.Image`) through a fresh
+that walks a `Product` on the fly.  `_view` reads each operand once: a
+Dfa, a Subsets or a positive Nfa as it is, and a negative Nfa or
+on-demand automaton (such as `relations.Image`) through a fresh
 `Subsets`, its subset construction, whose rows are filled only when the
-search reaches them.  Such a product is deterministic, and the search
-walks single state tuples.  A positive operand that is not deterministic
-(an Nfa with two targets on a move, an Image, a Product) is read through
-its move table instead, since its subset construction can reach
-exponentially many subsets before the least word; the search then walks
-groups of states that share a least access word (`_group_word`), which
-visit each product state once.  Acceptance is only ever tested by
-membership (`in`).  `_reachable` builds a product out in full, and
-`determinize` is `_reachable` over a fresh Subsets.
+search reaches them.  A Product has one move table, the product of its
+operands' move tables, computed when read.  When every positive operand
+is deterministic (a Dfa, a Subsets, an Nfa with at most one target per
+move), so is the product, and the search walks single state tuples: it
+zips the operands' successor tables instead, a positive Dfa's or Nfa's
+`live_delta`, which cuts the moves into dead states.  A positive operand
+that is not deterministic (an Nfa with two targets on a move, an Image,
+a Product) is never determinized, since its subset construction can
+reach exponentially many subsets before the least word; the search then
+walks groups of states that share a least access word over the move
+table (`_group_word`), which visit each product state once.  Acceptance
+is only ever tested by membership (`in`).  `_reachable` builds a product
+out in full, and `determinize` is `_reachable` over a fresh Subsets.
 """
 
 from dataclasses import dataclass
@@ -310,23 +313,20 @@ class _Final:
 
 
 class _ProductRows:
-    """A deterministic Product's move table, computed on every read and
-    kept nowhere: a search reads each row once."""
+    """A Product's move table, read off the operands' move tables and kept
+    nowhere: per symbol, the tuple of successor tuples in lexicographic
+    order, computed on every read.  The operands' tables are taken on the
+    first read, so a search that zips successor tables builds none."""
 
-    def __init__(self, tables):
-        self.tables = tables
+    def __init__(self, operands):
+        self.operands = operands
 
-    def __getitem__(self, t):
-        return tuple(() if None in s else (s,) for s in zip(*map(getitem, self.tables, t)))
-
-
-class _ChoiceRows(_ProductRows):
-    """A nondeterministic Product's move table, read off the operands'
-    move tables: per symbol, the tuple of successors in lexicographic
-    order."""
+    @cached_property
+    def moves(self):
+        return [b.moves for b in self.operands]
 
     def __getitem__(self, t):
-        return tuple(map(tuple, map(product, *map(getitem, self.tables, t))))
+        return tuple(map(tuple, map(product, *map(getitem, self.moves, t))))
 
 
 class Product:
@@ -339,12 +339,12 @@ class Product:
     Product); `_view` reads each one once, a negative one that is not
     total and deterministic through a fresh Subsets, so a Subsets shared
     between products (the teacher's F) keeps the rows earlier searches
-    filled.  `tables` lists the operands' successor tables in that order,
-    None for a positive operand that is not deterministic.  Without such
-    an operand the product is deterministic: `moves[t][sym]` is () where
-    some table has None, else the 1-tuple of the successor tuple.  With
-    one, `moves[t][sym]` is read off the operands' move tables.  Either
-    way it is computed when read.
+    filled.  `moves[t][sym]`, computed when read, lists the successor
+    tuples of the operands' move-table rows in lexicographic order; it
+    cuts nothing, so a move into a dead state is there too.  `tables`
+    lists the operands' successor tables in the same order, None for a
+    positive operand that is not deterministic: `product_word` zips them
+    when none is None.
     """
 
     def __init__(self, positive, negative=()):
@@ -354,10 +354,7 @@ class Product:
             *[_view(a, True) for a in positive], *[_view(b, False) for b in negative])
         self.initial = tuple(b.initial for b in read)
         self.accepting = _Final(finals)
-        if None in self.tables:
-            self.moves = _ChoiceRows([b.moves for b in read])
-        else:
-            self.moves = _ProductRows(self.tables)
+        self.moves = _ProductRows(read)
 
 
 def _view(a, positive):

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .automata import Alphabet, Dfa, EPSILON_MARK, Nfa, arcs, product_word
-from .errors import GameFormatError, InvalidWordError, InvariantViolation
+from .errors import GameFormatError, InvariantViolation
 from .relations import Transducer, transition_key
 
 SECTIONS = ("alphabet", "v0", "v1", "edges", "safe", "initial")
@@ -64,10 +64,6 @@ def validate_game(g):
 
 # ---------------------------------------------------------------- parsing
 
-def _format_error(msg, lineno=None):
-    return GameFormatError(msg, line=lineno)
-
-
 def _split_sections(text, wanted=SECTIONS):
     """Map section name -> list of (lineno, stripped payload line)."""
     found = {}
@@ -79,27 +75,27 @@ def _split_sections(text, wanted=SECTIONS):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in wanted:
-                raise _format_error(f"unknown section [{name}]", lineno)
+                raise GameFormatError(f"unknown section [{name}]", lineno)
             if name in found:
-                raise _format_error(f"duplicate section [{name}]", lineno)
+                raise GameFormatError(f"duplicate section [{name}]", lineno)
             found[name] = []
             current = name
             continue
         if current is None:
-            raise _format_error("content before the first section header", lineno)
+            raise GameFormatError("content before the first section header", lineno)
         found[current].append((lineno, line))
     for name in wanted:
         if name not in found:
-            raise _format_error(f"missing section [{name}]")
+            raise GameFormatError(f"missing section [{name}]")
     return found
 
 
 def _parse_header(lines, key, pos):
     if pos >= len(lines):
-        raise _format_error(f"expected '{key}:' line")
+        raise GameFormatError(f"expected '{key}:' line")
     lineno, line = lines[pos]
     if not line.startswith(key + ":"):
-        raise _format_error(f"expected '{key}:' line, got {line!r}", lineno)
+        raise GameFormatError(f"expected '{key}:' line, got {line!r}", lineno)
     return lineno, line[len(key) + 1 :].split()
 
 
@@ -107,88 +103,98 @@ def _parse_int(tok, lineno, what):
     try:
         return int(tok)
     except ValueError:
-        raise _format_error(f"bad {what} {tok!r}", lineno) from None
+        raise GameFormatError(f"bad {what} {tok!r}", lineno) from None
 
 
-def _parse_automaton_body(lines):
+def _state_bound(accepting, moves):
+    """The most states a section with these accepting states and move lines
+    can name: the initial state, the accepting ones and two per line.  The
+    reader refuses a count past it, whose tables would outgrow the file
+    without bound, and the writer keeps to it (see `_readable`)."""
+    return 1 + len(accepting) + 2 * len(moves)
+
+
+def _labels(alphabet):
+    """The label readers of move lines: a symbol token -> (its index,), and
+    for [edges] `in/out` -> (in, out), each a symbol index or None for
+    `_`.  Each raises KeyError naming an unknown token, and the pair
+    reader ValueError without exactly one `/`."""
+    index = {tok: i for i, tok in enumerate(alphabet.symbols)}
+    symbol = {tok: (i,) for tok, i in index.items()}.__getitem__
+    index[EPSILON_MARK] = None
+
+    def pair(tok):
+        left, right = tok.split("/")
+        return index[left], index[right]
+
+    return symbol, pair
+
+
+# the form of a move line, as the error for a line of another form names it
+_LINE_FORM = {Nfa: "transition needs 'src sym dst'", Transducer: "edge needs 'src in/out dst'"}
+
+
+def _parse_section(lines, alphabet, record, label):
+    """The automaton section `lines` as a `record`, an Nfa or a Transducer,
+    with a move (src, *label(tok), dst) per line `src tok dst`.  A line
+    that does not read is diagnosed only then (`_move_error`), so the
+    lines that do take one `try` each."""
     states_lineno, toks = _parse_header(lines, "states", 0)
     if len(toks) != 1:
-        raise _format_error("'states:' takes one number", states_lineno)
+        raise GameFormatError("'states:' takes one number", states_lineno)
     n = _parse_int(toks[0], states_lineno, "state count")
     lineno, toks = _parse_header(lines, "initial", 1)
     if len(toks) != 1:
-        raise _format_error("'initial:' takes one state", lineno)
+        raise GameFormatError("'initial:' takes one state", lineno)
     initial = _parse_int(toks[0], lineno, "initial state")
     lineno, toks = _parse_header(lines, "accepting", 2)
     accepting = frozenset(_parse_int(t, lineno, "accepting state") for t in toks)
     rest = lines[3:]
-    # the initial state, the accepting ones and two per move line: a count
-    # past that names states no line uses, and the tables sized by it
-    # would outgrow the file without bound
-    named = 1 + len(accepting) + 2 * len(rest)
+    named = _state_bound(accepting, rest)
     if n > named:
-        raise _format_error(f"'states:' counts more states than the section names "
-                            f"(at most {named})", states_lineno)
-    return n, initial, accepting, rest
-
-
-def _parse_nfa(lines, alphabet):
-    n, initial, accepting, rest = _parse_automaton_body(lines)
+        raise GameFormatError(f"'states:' counts more states than the section names "
+                              f"(at most {named})", states_lineno)
     trans = set()
     for lineno, line in rest:
-        toks = line.split()
-        if len(toks) != 3:
-            raise _format_error(f"transition needs 'src sym dst', got {line!r}", lineno)
-        src = _parse_int(toks[0], lineno, "state")
-        dst = _parse_int(toks[2], lineno, "state")
         try:
-            sym = alphabet.index(toks[1])
-        except InvalidWordError:
-            raise _format_error(f"unknown symbol {toks[1]!r}", lineno) from None
-        trans.add((src, sym, dst))
+            src, tok, dst = line.split()
+            trans.add((int(src), *label(tok), int(dst)))
+        except (ValueError, KeyError):
+            raise _move_error(line, lineno, label, _LINE_FORM[record]) from None
     try:
-        return Nfa(alphabet, n, initial, frozenset(trans), accepting)
+        return record(alphabet, n, initial, frozenset(trans), accepting)
     except ValueError as e:
-        raise _format_error(str(e)) from None
+        raise GameFormatError(str(e)) from None
 
 
-def _parse_label(tok, alphabet, lineno):
-    if tok == EPSILON_MARK:
-        return None
+def _move_error(line, lineno, label, form):
+    """The GameFormatError for a move line that does not read, naming its
+    first fault: the line's form, a state that is not a number (raised
+    here, by `_parse_int`), then the unknown symbol."""
+    toks = line.split()
     try:
-        return alphabet.index(tok)
-    except InvalidWordError:
-        raise _format_error(f"unknown symbol {tok!r}", lineno) from None
-
-
-def _parse_transducer(lines, alphabet):
-    n, initial, accepting, rest = _parse_automaton_body(lines)
-    trans = set()
-    for lineno, line in rest:
-        toks = line.split()
-        if len(toks) != 3 or toks[1].count("/") != 1:
-            raise _format_error(f"edge needs 'src in/out dst', got {line!r}", lineno)
-        src = _parse_int(toks[0], lineno, "state")
-        dst = _parse_int(toks[2], lineno, "state")
-        left, right = toks[1].split("/")
-        a = _parse_label(left, alphabet, lineno)
-        b = _parse_label(right, alphabet, lineno)
-        trans.add((src, a, b, dst))
-    try:
-        return Transducer(alphabet, n, initial, frozenset(trans), accepting)
-    except ValueError as e:
-        raise _format_error(str(e)) from None
+        if len(toks) != 3:
+            raise ValueError
+        label(toks[1])
+    except ValueError:
+        return GameFormatError(f"{form}, got {line!r}", lineno)
+    except KeyError as e:
+        (unknown,) = e.args
+    _parse_int(toks[0], lineno, "state")
+    _parse_int(toks[2], lineno, "state")
+    return GameFormatError(f"unknown symbol {unknown!r}", lineno)
 
 
 def parse_game(text):
     """Parse and validate a game file; raises GameFormatError / InvariantViolation."""
     sections = _split_sections(text)
     alphabet = _parse_alphabet_section(sections)
-    v0 = _parse_nfa(sections["v0"], alphabet)
-    v1 = _parse_nfa(sections["v1"], alphabet)
-    edges = _parse_transducer(sections["edges"], alphabet)
-    safe = _parse_nfa(sections["safe"], alphabet)
-    initial = _parse_nfa(sections["initial"], alphabet)
+    symbol, pair = _labels(alphabet)
+    v0 = _parse_section(sections["v0"], alphabet, Nfa, symbol)
+    v1 = _parse_section(sections["v1"], alphabet, Nfa, symbol)
+    edges = _parse_section(sections["edges"], alphabet, Transducer, pair)
+    safe = _parse_section(sections["safe"], alphabet, Nfa, symbol)
+    initial = _parse_section(sections["initial"], alphabet, Nfa, symbol)
     return validate_game(RationalSafetyGame(alphabet, v0, v1, edges, safe, initial))
 
 
@@ -207,11 +213,10 @@ def _dump_section(out, name, a, moves):
 
 def _readable(a):
     """`a`, an Nfa, a Dfa or a Transducer, or, when its state count is past
-    what the reader takes (1 + |accepting| + 2 per move line, see
-    `_parse_automaton_body`), `a` with the states that appear in no line
-    left out and the others numbered down in order: the same language, in
-    a section the reader takes back."""
-    if isinstance(a, Dfa) or a.state_count <= 1 + len(a.accepting) + 2 * len(a.transitions):
+    what the reader takes (`_state_bound`), `a` with the states that
+    appear in no line left out and the others numbered down in order: the
+    same language, in a section the reader takes back."""
+    if isinstance(a, Dfa) or a.state_count <= _state_bound(a.accepting, a.transitions):
         return a  # a Dfa is total: every state has a move line
     used = sorted({a.initial, *a.accepting}.union(*((t[0], t[-1]) for t in a.transitions)))
     number = dict(zip(used, range(len(used)))).__getitem__
@@ -248,11 +253,11 @@ def serialize_game(g):
 def _parse_alphabet_section(sections):
     tokens = [tok for _lineno, line in sections["alphabet"] for tok in line.split()]
     if not tokens:
-        raise _format_error("[alphabet] section is empty")
+        raise GameFormatError("[alphabet] section is empty")
     try:
         return Alphabet(tuple(tokens))
     except ValueError as e:
-        raise _format_error(str(e), sections["alphabet"][0][0]) from None
+        raise GameFormatError(str(e), sections["alphabet"][0][0]) from None
 
 
 def serialize_dfa(d):
@@ -266,9 +271,9 @@ def parse_dfa(text):
     """Read a [dfa] file back; the automaton must be deterministic and total."""
     sections = _split_sections(text, DFA_SECTIONS)
     alphabet = _parse_alphabet_section(sections)
-    nfa = _parse_nfa(sections["dfa"], alphabet)
+    nfa = _parse_section(sections["dfa"], alphabet, Nfa, _labels(alphabet)[0])
     if nfa.initial != 0:
-        raise _format_error("[dfa] initial state must be 0")
+        raise GameFormatError("[dfa] initial state must be 0")
     # (state, symbol) pairs in order, without a table of them: each pair
     # that passes uses up a line, so a bad file stops within one more step
     targets = Counter((p, sym) for (p, sym, _q) in nfa.transitions)
@@ -276,6 +281,6 @@ def parse_dfa(text):
         p, sym = divmod(i, len(alphabet))
         if targets[p, sym] != 1:
             what = "is nondeterministic at" if targets[p, sym] else "is missing the transition from"
-            raise _format_error(f"[dfa] {what} state {p} on {alphabet.symbols[sym]!r}")
+            raise GameFormatError(f"[dfa] {what} state {p} on {alphabet.symbols[sym]!r}")
     delta = tuple(tuple(q for (q,) in row) for row in nfa.moves)
     return Dfa(alphabet, nfa.state_count, delta, nfa.accepting)

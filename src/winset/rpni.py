@@ -27,7 +27,7 @@ acceptance that the new items overturn (see `merge_learn`).
 from .automata import Dfa, _reachable, from_words
 from .errors import InfiniteBranchingError, check_deadline
 from .learning import run_cegis
-from .sample import Sample, check_contradiction, finite_words
+from .sample import check_contradiction, extends, finite_words, since
 
 
 def _singletons(pta):
@@ -140,7 +140,10 @@ def _consistent(s, anchors, parent, succ, accs):
                 r = parent[r]
         return accs[r]
 
-    for r, rest in anchors[0]:  # accepted(), inlined for the negative words
+    # accepted(), inlined for the negative words, the most numerous: through
+    # `any(map(accepted, ...))` `evasion-rpni` took 0.094 s a pass, not
+    # 0.091 s (medians of 3 alternating runs, slower in each pair)
+    for r, rest in anchors[0]:
         while parent[r] != r:
             r = parent[r]
         for sym in rest:
@@ -169,12 +172,6 @@ def _quotient_dfa(alphabet, parent, succ, accs):
     rows.append((sink,) * nsym)  # unreachable when every move is there; trimmed
     accepting = frozenset(index[r] for r in roots if accs[r])
     return _reachable(Dfa(alphabet, len(rows), tuple(rows), accepting))
-
-
-def _extends(s, old):
-    """Whether the sample `s` holds `old`'s items first, in `old`'s order."""
-    pairs = ((s.pos, old.pos), (s.neg, old.neg), (s.ex, old.ex), (s.uni, old.uni))
-    return all(new[:len(was)] == was for new, was in pairs)
 
 
 def merge_learn(s, solver=None, deadline=None, last=None):
@@ -206,11 +203,8 @@ def merge_learn(s, solver=None, deadline=None, last=None):
         raise InfiniteBranchingError(s.alphabet.text(u))
     parent, succ, accs = _singletons(from_words(s.alphabet, closure))
     replay = ()
-    if last and last["closure"] == closure and _extends(s, last["sample"]):
-        old = last["sample"]
-        new_items = Sample(s.alphabet, s.pos[len(old.pos):], s.neg[len(old.neg):],
-                           s.ex[len(old.ex):], s.uni[len(old.uni):])
-        fresh = _anchors(new_items, closure, succ)
+    if last and last["closure"] == closure and extends(s, last["sample"]):
+        fresh = _anchors(since(s, last["sample"]), closure, succ)
         anchors = tuple(was + new for was, new in zip(last["anchors"], fresh))
         replay = last["verdicts"]
     else:

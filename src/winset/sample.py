@@ -36,6 +36,17 @@ def empty_sample(alphabet):
 _FIELD = {Positive: "pos", Negative: "neg", Existential: "ex", Universal: "uni"}
 
 
+def extends(s, old):
+    """Whether the sample `s` holds `old`'s items first, in `old`'s order,
+    in each of its item lists."""
+    return all(getattr(s, f)[:len(getattr(old, f))] == getattr(old, f) for f in _FIELD.values())
+
+
+def since(s, old):
+    """The items of `s` past those of `old`, a sample it `extends`."""
+    return Sample(s.alphabet, *(getattr(s, f)[len(getattr(old, f)):] for f in _FIELD.values()))
+
+
 def add(s, cex):
     """Append a counterexample to its set; duplicates leave s unchanged."""
     field = _FIELD.get(type(cex))

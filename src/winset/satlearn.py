@@ -93,7 +93,7 @@ from .errors import (
 from .learning import LearnOptions, run_cegis
 from .prop import CnfInstance, solve_checked
 from .rpni import learn_rpni
-from .sample import check_contradiction, distinct_pairs, finite_words
+from .sample import Sample, check_contradiction, distinct_pairs, extends, finite_words, since
 
 
 class VarBook:
@@ -115,7 +115,7 @@ class VarBook:
         self._y = []  # per universal item: (offset, |Q_A|)
         self._z = []  # per existential item: (offset, |Q_A|, k)
         self.gates = {}  # gate key -> its variable
-        self.done = {kind: () for kind in _ENCODERS}  # the items encoded
+        self.done = Sample(alphabet)  # the items encoded
         self.apart = set()  # the distinct pairs encoded
         clauses = self.cnf.clauses
         clauses += build_dfa_constraints(self)
@@ -174,15 +174,15 @@ class VarBook:
         last call, as a learner's growing sample does.  The deadline is
         read before each item: past it, SolveTimeout, and the next call
         goes on from that item."""
+        if not extends(sample, self.done):
+            raise ValueError("the sample's items do not extend the encoded ones")
         clauses = self.cnf.clauses
+        todo = since(sample, self.done)
         for kind, encode in _ENCODERS.items():
-            items, done = getattr(sample, kind), self.done[kind]
-            if items[:len(done)] != done:
-                raise ValueError(f"the sample's {kind} items do not extend the encoded ones")
-            for i in range(len(done), len(items)):
+            for item in getattr(todo, kind):
                 check_deadline(deadline, "encoding")
-                clauses += encode(self, items[i])
-                self.done[kind] = items[:i + 1]
+                clauses += encode(self, item)
+                self.done = replace(self.done, **{kind: getattr(self.done, kind) + (item,)})
         new = distinct_pairs(sample) - self.apart
         for u, v in sorted(new):
             xu, xv = self._pref[u], self._pref[v]

@@ -30,7 +30,9 @@ answer is the same.  Check 2 over a conjecture with a finite language
 thus stops where the conjecture can no longer accept, and it fills only
 the rows of F it reached.  Check 4, whose Image is a positive operand,
 and any check over a nondeterministic V0 or I take its grouped search,
-which expands each product state once and cuts nothing.
+which expands each product state once and cuts nothing.  That Image
+reads V0 ∪ V1 minus the conjecture through the product's move table,
+which cuts nothing either.
 
 The checks take a compiled game (`compile_game`): the game together with
 the parts of the checks that depend only on the game, made once per run

@@ -26,6 +26,7 @@ from winset.automata import (
     union,
 )
 from winset.errors import InvalidWordError, SolveTimeout
+from winset.relations import Transducer
 
 from oracles import (
     all_words,
@@ -56,6 +57,40 @@ def initial_nfa_k2():
         frozenset({(0, 0, 1), (1, 2, 2), (2, 2, 3), (3, 2, 3)}),
         frozenset({3}),
     )
+
+
+# an out-of-range part of each record, with the message that names it
+BAD_RECORDS = [
+    (lambda: Nfa(AB, 0, 0, (), ()), "state_count must be positive"),
+    (lambda: Nfa(AB, -1, 0, (), ()), "state_count must be positive"),
+    (lambda: Nfa(AB, 2, 2, (), ()), "initial state out of range"),
+    (lambda: Nfa(AB, 2, -1, (), ()), "initial state out of range"),
+    (lambda: Nfa(AB, 2, 0, (), {2}), "accepting state out of range"),
+    (lambda: Nfa(AB, 2, 0, {(0, 0, 2)}, ()), "endpoint out of range"),
+    (lambda: Nfa(AB, 2, 0, {(-1, 0, 1)}, ()), "endpoint out of range"),
+    (lambda: Nfa(AB, 2, 0, {(0, 2, 1)}, ()), "symbol out of range"),
+    (lambda: Nfa(AB, 2, 0, {(0, -1, 1)}, ()), "symbol out of range"),
+    (lambda: Dfa(AB, 0, (), ()), "state_count must be positive"),
+    (lambda: Dfa(AB, 2, ((0, 0),), ()), "one row per state"),
+    (lambda: Dfa(AB, 1, ((0,),), ()), "cover the whole alphabet"),
+    (lambda: Dfa(AB, 1, ((0, 0, 0),), ()), "cover the whole alphabet"),
+    (lambda: Dfa(AB, 1, ((0, 1),), ()), "target out of range"),
+    (lambda: Dfa(AB, 1, ((0, -1),), ()), "target out of range"),
+    (lambda: Dfa(AB, 1, ((0, 0),), {1}), "accepting state out of range"),
+    (lambda: Transducer(AB, 0, 0, (), ()), "state_count must be positive"),
+    (lambda: Transducer(AB, 2, 2, (), ()), "initial state out of range"),
+    (lambda: Transducer(AB, 2, 0, (), {-1}), "accepting state out of range"),
+    (lambda: Transducer(AB, 2, 0, {(0, 0, None, 2)}, ()), "endpoint out of range"),
+    (lambda: Transducer(AB, 2, 0, {(2, None, 0, 0)}, ()), "endpoint out of range"),
+    (lambda: Transducer(AB, 2, 0, {(0, 2, 0, 1)}, ()), "bad in-label"),
+    (lambda: Transducer(AB, 2, 0, {(0, None, -1, 1)}, ()), "bad out-label"),
+]
+
+
+@pytest.mark.parametrize("build, message", BAD_RECORDS)
+def test_records_reject_parts_out_of_range(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # --------------------------------------------------------------- alphabet

@@ -167,6 +167,42 @@ def test_syntax_errors_carry_line_numbers():
         parse_game(duplicated)
 
 
+# (section, bad move line, the token its message must name); halfline's
+# alphabet is s e l
+BAD_MOVE_LINES = [
+    *((section, line, token) for section in ("v0", "dfa") for line, token in (
+        ("0 s", "0 s"),  # a wrong token count
+        ("0 s 1 1", "0 s 1 1"),
+        ("x s 1", "x"),  # a state that is not a number
+        ("0 s y", "y"),
+        ("0 q 1", "q"),  # an unknown symbol
+        ("0 _ 1", "_"),  # epsilon is a transducer label only
+        ("0 s/e 1", "s/e"),
+    )),
+    ("edges", "0 s/e", "0 s/e"),
+    ("edges", "0 s/e 1 1", "0 s/e 1 1"),
+    ("edges", "x s/e 1", "x"),
+    ("edges", "0 s/e y", "y"),
+    ("edges", "0 q/e 1", "q"),
+    ("edges", "0 s/q 1", "q"),
+    ("edges", "0 se 1", "se"),  # a label without exactly one /
+    ("edges", "0 s/e/l 1", "s/e/l"),
+]
+
+
+@pytest.mark.parametrize("section, bad, token", BAD_MOVE_LINES)
+def test_a_bad_move_line_is_named_by_its_line_and_token(section, bad, token):
+    g = halfline(2)
+    text = serialize_dfa(determinize(g.safe)) if section == "dfa" else serialize_game(g)
+    lines = text.splitlines()
+    i = lines.index(f"[{section}]") + 4  # past states:, initial: and accepting:
+    lines[i] = bad
+    with pytest.raises(GameFormatError) as err:
+        (parse_dfa if section == "dfa" else parse_game)("\n".join(lines))
+    assert err.value.line == i + 1
+    assert token in str(err.value)
+
+
 def test_dfa_file_roundtrip():
     g = halfline(2)
     d = determinize(g.safe)

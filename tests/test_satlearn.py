@@ -27,7 +27,7 @@ from winset.errors import (
 from winset.learning import LearnOptions
 from winset.prop import CnfInstance, solve_internal
 from winset.rpni import learn_rpni
-from winset.sample import Sample, add, chi, dump_sample, empty_sample, is_consistent
+from winset.sample import Sample, add, chi, dump_sample, empty_sample, extends, is_consistent
 from winset.satlearn import (
     VarBook,
     build_dfa_constraints,
@@ -285,7 +285,7 @@ def test_a_book_refuses_a_sample_that_does_not_extend_it():
     with pytest.raises(ValueError):
         book.extend(make_sample(AB, [b, a], [], [], []))
     book.extend(make_sample(AB, [a, b, ()], [], [], []))
-    assert book.done["pos"] == (a, b, ())
+    assert book.done.pos == (a, b, ())
 
 
 def cycle_consequent(alphabet, states):
@@ -316,7 +316,7 @@ def test_the_encoder_reads_the_deadline_between_items():
     with pytest.raises(SolveTimeout):
         book.extend(s, deadline=t0 + 0.02)
     assert time.monotonic() - t0 < full_s / 3, full_s
-    assert 0 < len(book.done["ex"]) < len(s.ex)
+    assert 0 < len(book.done.ex) < len(s.ex)
     book.extend(s)
     assert book.cnf == full
     # the learner's scan, resumed at n = 3 as after two refuted sizes
@@ -408,7 +408,7 @@ def test_the_schedule_descends_from_the_rpni_winning_set(monkeypatch):
         assert query(g, res.dfa) is None
         assert [book.n for book in made] == sizes
         assert res.iterations > first.iterations
-        assert rpni._extends(res.sample, first.sample)
+        assert extends(res.sample, first.sample)
 
 
 def test_max_states_on_the_schedule(monkeypatch):
@@ -461,7 +461,7 @@ def test_without_an_rpni_bound_the_schedule_ascends(monkeypatch):
         assert query(g, res.dfa) is None
         assert [book.n for book in made] == list(range(1, size + 1)), family
         assert len(calls) == 3 and res.sample.size() > calls[-1].size(), family
-        assert rpni._extends(res.sample, calls[-1])
+        assert extends(res.sample, calls[-1])
     g = paper_game("follow", bound=2)
     rpni_runs_out_after(monkeypatch, 0)
     made = recorded_books(monkeypatch)

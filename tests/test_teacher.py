@@ -8,11 +8,21 @@ query seeded random conjectures on the paper games.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from winset import learning, teacher
-from winset.automata import Nfa, Product, _reachable, determinize, finite_words, from_words, union
+from winset.automata import (
+    Nfa,
+    Product,
+    _reachable,
+    determinize,
+    finite_words,
+    from_words,
+    product_word,
+    union,
+)
 from winset.benchmarks import BenchmarkSpec, generate_benchmark, halfline_game
 from winset.errors import SolveTimeout
 from winset.learning import LearnOptions, run_cegis
@@ -34,8 +44,10 @@ from winset.teacher import (
 from oracles import (
     all_words,
     dfa_accepts_brute,
+    language_upto,
     pair_accepted_brute,
     product_word_brute,
+    random_dfa,
     random_nfa,
 )
 
@@ -113,6 +125,42 @@ def test_check_universal():
     assert check_universal(CG, HALF) is None         # no Player-1 word kept
     assert check_universal(CG, WINNING) is None
 
+
+def test_check_universal_where_the_vertices_have_dead_states():
+    """Check 4 on halfline(2) with a dead branch in V0 (l from the start)
+    and one in V1 (s after e): V0 ∪ V1 stays deterministic and has dead
+    states.  Each answer is the least u in L(c) ∩ V1 with a successor in V
+    outside L(c), found by brute force over words up to length 4; a move
+    changes a word's length by at most 1, so words up to length 5 hold
+    every successor of such a u."""
+    s, e, l = (A.index(x) for x in "sel")
+    v0 = Nfa(A, 3, 0, G.v0.transitions | {(0, l, 2)} | {(2, x, 2) for x in (s, e, l)},
+             G.v0.accepting)
+    v1 = Nfa(A, 3, 0, G.v1.transitions | {(1, s, 2), (2, l, 2)}, G.v1.accepting)
+    g = replace(G, v0=v0, v1=v1)
+    cg = compile_game(g)
+    vertices = cg.vertices
+    assert all(len(targets) <= 1 for row in vertices.moves for targets in row)
+    dead = [q for q in range(vertices.state_count)
+            if product_word([replace(vertices, initial=q)]) is None]
+    assert len(dead) == 2
+    cap = 4
+    words = language_upto(vertices, cap + 1)
+    succ = {u: {v for v in words if pair_accepted_brute(g.edges, u, v)}
+            for u in sorted(language_upto(v1, cap), key=lambda u: (len(u), u))}
+    rng = random.Random(7)
+    found = 0
+    for i in range(200):
+        c = random_dfa(rng, A, max_states=4) if i % 2 else determinize(random_nfa(rng, A))
+        brute = next((u for u, vs in succ.items() if dfa_accepts_brute(c, u)
+                      and not all(dfa_accepts_brute(c, v) for v in vs)), None)
+        hit = check_universal(cg, c)
+        if brute is not None:
+            assert hit is not None and hit[0] == brute, i
+            found += 1
+        else:
+            assert hit is None or len(hit[0]) > cap, i
+    assert 20 <= found <= 180, found
 
 def test_query_trace():
     assert query(G, EMPTY) == Positive(W("s l l"))
