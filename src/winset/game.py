@@ -164,7 +164,24 @@ def _parse_section(lines, alphabet, record, label):
     try:
         return record(alphabet, n, initial, frozenset(trans), accepting)
     except ValueError as e:
-        raise GameFormatError(str(e)) from None
+        raise _state_error(lines, n) or GameFormatError(str(e)) from None
+
+
+def _state_error(lines, n):
+    """The GameFormatError for a section of `n` states whose record refused
+    a state: the first line, in file order, that names a state outside
+    0..n-1 (the `states:` line when n is not positive); None when no line
+    does.  Every line here reads already."""
+    if n <= 0:
+        return GameFormatError("'states:' must be positive", lines[0][0])
+    for pos, (lineno, line) in enumerate(lines[1:], start=1):
+        # `initial:` and `accepting:` name states after the colon; a move
+        # line `src label dst` names its first and last tokens
+        states = line.split(":", 1)[1].split() if pos < 3 else line.split()[::2]
+        for tok in states:
+            if not 0 <= int(tok) < n:
+                return GameFormatError(f"state {tok} out of range for {n} states", lineno)
+    return None
 
 
 def _move_error(line, lineno, label, form):

@@ -15,15 +15,33 @@ words are accepted by every quotient and are not walked.  A rejected merge
 is undone from the log.  The quotient DFA is built once per conjecture, for
 the kept partition.
 
+Every winning set lies inside the game's safe set F, so `learn_rpni` also
+refuses a merge whose quotient accepts a word outside F, after the typing
+bias of Coste, Fredouille, Kermorvant & de la Higuera (ICGI 2004), where a
+known automaton constrains the merges.  A trial that fits the sample is
+walked together with F's subset construction, the teacher's own
+(`CompiledGame.safe`), and is rejected where an accepting class meets a
+state outside F (`_inside`).  The teacher still judges every conjecture;
+only the choice among merges changes.  Merging only adds words, so check
+2 fails only where the prefix tree itself leaves F: evasion(start=12)
+takes 26 iterations, not 94, and ends with no negative word.
+`satlearn.learn`'s rpni phase merges without the walk, since its sample
+is the sat phase's first one and the sat phase learns faster from those
+unsafe words.
+
 Across CEGIS iterations the learner replays the last conjecture's trial
 verdicts, after Dupont's incremental RPNI2 (ICGI 1996).  The sample only
 grows, and chi's closure mostly stays the same, so the tree and the
 schedule do too.  A verdict is a conjunction over the sample's items, so
 more items never turn a rejection into an acceptance, and an acceptance
 needs checking on the new items only.  Replaying stops at the first
-acceptance that the new items overturn (see `merge_learn`).
+acceptance that the new items overturn (see `merge_learn`).  F is the same
+for the whole run, so a recorded acceptance has passed the walk through F
+on the same partition, and a recorded rejection by that walk still holds:
+the replay walks nothing and stays exact.
 """
 
+from . import teacher
 from .automata import Dfa, _reachable, from_words
 from .errors import InfiniteBranchingError, check_deadline
 from .learning import run_cegis
@@ -158,6 +176,33 @@ def _consistent(s, anchors, parent, succ, accs):
             and not any(accepted(u) and not all(map(accepted, vs)) for u, vs in anchors[2]))
 
 
+def _inside(safe, parent, succ, accs, deadline):
+    """Whether the partition's quotient accepts only words of F: its
+    classes walked together with `safe`, F's subset construction, from
+    (root class, 0), meet no pair of an accepting class and a state in
+    `safe.rejecting`.  A missing move goes to the quotient's sink, which
+    rejects, so it is not followed.  `safe`'s rows are filled as the walk
+    reaches them, and every later walk and the teacher's check 2 reuse
+    them; the deadline is read every 256 pairs.
+    """
+    delta, rejecting = safe.delta, safe.rejecting
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        r, q = stack.pop()
+        if accs[r] and q in rejecting:
+            return False
+        row = delta[q]
+        for sym, t in succ[r].items():
+            pair = _find(parent, t), row[sym]
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+                if deadline is not None and not len(seen) & 255:
+                    check_deadline(deadline, "state merging")
+    return True
+
+
 def _quotient_dfa(alphabet, parent, succ, accs):
     """Total DFA of the current partition; missing moves go to a fresh sink."""
     roots = [x for x in range(len(parent)) if parent[x] == x]
@@ -174,7 +219,7 @@ def _quotient_dfa(alphabet, parent, succ, accs):
     return _reachable(Dfa(alphabet, len(rows), tuple(rows), accepting))
 
 
-def merge_learn(s, solver=None, deadline=None, last=None):
+def merge_learn(s, solver=None, deadline=None, last=None, safe=None):
     """One conjecture: PTA of the chi closure, folded greedily.
 
     The closure is `check_contradiction`'s, so a contradictory sample raises
@@ -185,10 +230,10 @@ def merge_learn(s, solver=None, deadline=None, last=None):
     built once, for the kept partition.
 
     `last` (a dict kept by the caller) carries the previous conjecture's
-    closure, sample, anchors and ordered trial verdicts.  When the closure
-    is the same and `s` extends that sample, the tree is the same, and the
-    verdicts are replayed while they hold: the partition at each trial is
-    then the recorded one.  A trial recorded as rejected is rejected
+    closure, `safe`, sample, anchors and ordered trial verdicts.  When the
+    closure and `safe` are the same and `s` extends that sample, the tree
+    is the same, and the verdicts are replayed while they hold: the
+    partition at each trial is then the recorded one.  A trial recorded as rejected is rejected
     without a fold, since `s` still holds every item that rejected it.  A
     trial recorded as accepted is folded and checked on the new items'
     anchors only, since the old ones passed it.  The first such trial that
@@ -196,6 +241,11 @@ def merge_learn(s, solver=None, deadline=None, last=None):
     all anchors.  So each verdict is the one the full check gives, and the
     output is that of a call without `last`.  Otherwise the schedule starts
     fresh.  `last` is rewritten only once the merge loop is done.
+
+    `safe`, when given, is F as a `Subsets` (`CompiledGame.safe`): a trial
+    that passes the sample is kept only if its quotient stays inside F
+    (`_inside`).  A replay walks nothing, since a recorded acceptance
+    already passed the walk on the same partition.
     """
     closure = check_contradiction(s, solver, deadline)
     if closure is None:
@@ -203,7 +253,8 @@ def merge_learn(s, solver=None, deadline=None, last=None):
         raise InfiniteBranchingError(s.alphabet.text(u))
     parent, succ, accs = _singletons(from_words(s.alphabet, closure))
     replay = ()
-    if last and last["closure"] == closure and extends(s, last["sample"]):
+    if (last and last["closure"] == closure and last["safe"] is safe
+            and extends(s, last["sample"])):
         fresh = _anchors(since(s, last["sample"]), closure, succ)
         anchors = tuple(was + new for was, new in zip(last["anchors"], fresh))
         replay = last["verdicts"]
@@ -226,21 +277,28 @@ def merge_learn(s, solver=None, deadline=None, last=None):
             ok = _consistent(s, fresh if replaying else anchors, parent, succ, accs)
             if replaying and not ok:
                 replay = ()  # the partition leaves the recorded one here
+            elif ok and not replaying and safe is not None:
+                ok = _inside(safe, parent, succ, accs, deadline)
             verdicts.append(ok)
             if ok:
                 break
             _undo(parent, succ, accs, log)
     if last is not None:
-        last.update(closure=closure, sample=s, anchors=anchors, verdicts=verdicts)
+        last.update(closure=closure, safe=safe, sample=s, anchors=anchors, verdicts=verdicts)
     return _quotient_dfa(s.alphabet, parent, succ, accs)
 
 
-def learn_rpni(game, opts=None):
+def learn_rpni(game, opts=None, inside_safe=True):
     """CEGIS with the merging learner; infinite branching is reported as an
-    error naming the offending vertex."""
+    error naming the offending vertex.  With `inside_safe` every kept merge
+    keeps the conjecture inside the game's F (`merge_learn`'s `safe`);
+    `satlearn.learn` turns it off, since its sample gains from the unsafe
+    words the teacher returns."""
+    game = teacher.compile_game(game)  # once: run_cegis takes it as it is
+    safe = game.safe if inside_safe else None
     last = {}  # the previous conjecture's merge verdicts, replayed by the next
 
     def conjecture(s, solver, deadline):
-        return merge_learn(s, solver, deadline, last)
+        return merge_learn(s, solver, deadline, last, safe)
 
     return run_cegis(game, conjecture, "rpni", opts)

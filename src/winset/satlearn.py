@@ -454,7 +454,7 @@ def learn(game, opts=None):
     start = time.monotonic()
     game = teacher.compile_game(game)  # once, for both learners
     try:
-        res = learn_rpni(game, replace(opts, timeout=opts.timeout * RPNI_SHARE))
+        res = learn_rpni(game, replace(opts, timeout=opts.timeout * RPNI_SHARE), inside_safe=False)
     except InfiniteBranchingError:
         res = None
     winning = res.dfa if res is not None and res.outcome == "solved" else None

@@ -38,11 +38,12 @@ The checks take a compiled game (`compile_game`): the game together with
 the parts of the checks that depend only on the game, made once per run
 rather than once per query.  They are F as a `Subsets`, the subset
 construction of `safe` filled on demand, whose rows check 2 reads
-complemented and every later query reuses; the inverted edge transducer;
-and V0 ∪ V1.  `query` accepts a plain game too and compiles it itself;
-`run_cegis` compiles once before its loop and passes its deadline, which
-`query` reads between the checks and inside their searches, and past
-which it raises SolveTimeout.
+complemented and every later query reuses, as does `rpni`'s walk of each
+trial merge through F; the inverted edge transducer; and V0 ∪ V1.
+`query` accepts a plain game too and compiles it itself; `run_cegis`
+compiles once before its loop and passes its deadline, which `query`
+reads between the checks and inside their searches, and past which it
+raises SolveTimeout.
 """
 
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ class CompiledGame:
     """A game with the game-only parts of the four checks built once."""
 
     game: RationalSafetyGame
-    safe: Subsets  # F, determinized on demand; its rows serve every query
+    safe: Subsets  # F, determinized on demand; its rows serve every query and rpni's walk
     back_edges: Transducer  # the inverse edge relation
     vertices: Nfa  # V0 ∪ V1
 

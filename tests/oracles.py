@@ -7,7 +7,7 @@ calls the library code it is used to judge.
 
 import itertools
 
-from winset.automata import Alphabet, Dfa, Nfa, check_word, from_words
+from winset.automata import Alphabet, Dfa, Nfa, accepts, check_word, from_words
 from winset import rpni
 from winset.game import RationalSafetyGame, validate_game
 from winset.relations import Transducer
@@ -374,6 +374,32 @@ def audit_merges(monkeypatch):
 
     monkeypatch.setattr(rpni, "_consistent", audited)
     return audits
+
+
+def unsafe_words(rng, d, safe, max_len=4, walks=50):
+    """Words that the DFA `d` accepts and the automaton `safe` rejects,
+    among every word up to `max_len` and the prefixes of `walks` random
+    walks of up to 4 * `max_len` moves through `d`'s live states (those
+    that reach an accepting state).  Membership is read with `accepts`
+    alone."""
+    nsym = len(d.alphabet.symbols)
+    live = set(d.accepting)
+    while True:
+        more = {q for q in range(d.state_count) if set(d.delta[q]) & live} - live
+        if not more:
+            break
+        live |= more
+    words = all_words(nsym, max_len)
+    for _ in range(walks if 0 in live else 0):
+        q, w = 0, ()
+        for _ in range(rng.randint(1, 4 * max_len)):
+            onward = [a for a in range(nsym) if d.delta[q][a] in live]
+            if not onward:
+                break
+            sym = rng.choice(onward)
+            q, w = d.delta[q][sym], w + (sym,)
+            words.append(w)
+    return [w for w in words if accepts(d, w) and not accepts(safe, w)]
 
 
 def random_sample_parts(rng, symbol_count=2, max_len=3, max_consequent=2):

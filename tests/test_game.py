@@ -187,6 +187,17 @@ BAD_MOVE_LINES = [
     ("edges", "0 s/q 1", "q"),
     ("edges", "0 se 1", "se"),  # a label without exactly one /
     ("edges", "0 s/e/l 1", "s/e/l"),
+    # a state out of range, on a move line of a 2-state [v0], a [dfa] and
+    # a 5-state [edges], and on the `initial:` and `accepting:` lines; no
+    # state at all
+    ("v0", "0 s -1", "-1"),
+    ("v0", "5 s 1", "5"),
+    ("dfa", "0 s 9", "9"),
+    ("edges", "0 s/e 9", "9"),
+    ("v0", "initial: 3", "3"),
+    ("v0", "accepting: 1 7", "7"),
+    ("edges", "accepting: 1 -2", "-2"),
+    ("v0", "states: 0", "'states:'"),
 ]
 
 
@@ -195,7 +206,9 @@ def test_a_bad_move_line_is_named_by_its_line_and_token(section, bad, token):
     g = halfline(2)
     text = serialize_dfa(determinize(g.safe)) if section == "dfa" else serialize_game(g)
     lines = text.splitlines()
-    i = lines.index(f"[{section}]") + 4  # past states:, initial: and accepting:
+    # a move line goes past states:, initial: and accepting:
+    offset = {"states": 1, "initial": 2, "accepting": 3}.get(bad.split(":")[0], 4)
+    i = lines.index(f"[{section}]") + offset
     lines[i] = bad
     with pytest.raises(GameFormatError) as err:
         (parse_dfa if section == "dfa" else parse_game)("\n".join(lines))

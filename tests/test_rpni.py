@@ -2,6 +2,7 @@
 wrapper."""
 
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from winset.rpni import (
     merge_learn,
 )
 from winset.sample import is_consistent
-from winset.teacher import query
+from winset.teacher import compile_game, query
 
 from oracles import (
     audit_merges,
@@ -33,6 +34,7 @@ from oracles import (
     make_sample,
     random_sample_parts,
     random_word,
+    unsafe_words,
 )
 
 AB = Alphabet(("a", "b"))
@@ -237,13 +239,13 @@ def test_replayed_verdicts_give_the_memoryless_conjectures(monkeypatch):
     checks = {"replaying": 0, "memoryless": 0}
     fresh_starts = replayed = 0
 
-    def compared(s, solver=None, deadline=None, last=None):
+    def compared(s, solver=None, deadline=None, last=None, safe=None):
         nonlocal fresh_starts, replayed
         before = last.get("closure")
         start = calls[0]
-        d = remembering(s, solver, deadline, last)
+        d = remembering(s, solver, deadline, last, safe)
         mid = calls[0]
-        assert serialize_dfa(remembering(s, solver)) == serialize_dfa(d)
+        assert serialize_dfa(remembering(s, solver, safe=safe)) == serialize_dfa(d)
         checks["replaying"] += mid - start
         checks["memoryless"] += calls[0] - mid
         fresh_starts += before is not None and before != last["closure"]
@@ -256,6 +258,46 @@ def test_replayed_verdicts_give_the_memoryless_conjectures(monkeypatch):
         assert res.outcome == "solved", name
     assert fresh_starts > 0 and replayed > 0
     assert checks["replaying"] < checks["memoryless"], checks
+
+
+def recorded_conjectures(monkeypatch):
+    """Record every (sample, DFA) of `rpni.merge_learn`, for as long as
+    `monkeypatch` holds."""
+    made = []
+    real = rpni.merge_learn
+
+    def recorded(s, *args):
+        made.append((s, real(s, *args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(rpni, "merge_learn", recorded)
+    return made
+
+
+def test_every_conjecture_stays_inside_f(monkeypatch):
+    # merges that take a conjecture out of F are refused, so the teacher's
+    # check 2 never fails and no negative word is added
+    rng = random.Random(2929)
+    made = recorded_conjectures(monkeypatch)
+    for name, params in REPLAY_GAMES:
+        g = generate_benchmark(BenchmarkSpec(name, params))
+        made.clear()
+        res = learn_rpni(g, LearnOptions(timeout=60))
+        assert res.outcome == "solved" and res.sample_sizes[1] == 0, name
+        assert len(made) == res.iterations
+        for _, d in made:
+            assert unsafe_words(rng, d, g.safe) == [], (name, serialize_dfa(d))
+
+
+def test_without_the_walk_through_f_conjectures_leave_f(monkeypatch):
+    # the oracle above fails once the walk accepts every merge
+    monkeypatch.setattr(rpni, "_inside", lambda *args: True)
+    rng = random.Random(2929)
+    made = recorded_conjectures(monkeypatch)
+    g = generate_benchmark(BenchmarkSpec("evasion", {"start": 4}))
+    res = learn_rpni(g, LearnOptions(timeout=60))
+    assert res.outcome == "solved" and res.sample_sizes[1] > 0
+    assert any(unsafe_words(rng, d, g.safe) for _, d in made)
 
 
 def test_the_remembered_verdicts_are_dropped_off_their_sample_or_closure(monkeypatch):
@@ -293,24 +335,54 @@ def test_a_timeout_inside_merging_leaves_the_remembered_verdicts(monkeypatch):
     assert all(last[key] is kept[key] for key in kept) and last.keys() == kept.keys()
 
 
+def test_a_timeout_inside_the_walk_through_f_leaves_the_remembered_verdicts(monkeypatch):
+    # on interval(1,20000) a walk through F over a quotient that loops
+    # meets ~20000 pairs, so a deadline that passes as each walk starts
+    # stops such a walk partway, with most of F's rows still unfilled
+    g = compile_game(generate_benchmark(BenchmarkSpec("interval", {"k": 1, "kprime": 20000})))
+    with monkeypatch.context() as m:
+        made = recorded_conjectures(m)
+        assert learn_rpni(g, LearnOptions(timeout=60)).outcome == "solved"
+    (first, _), (final, _) = made[0], made[-1]
+    last = {}
+    merge_learn(first, last=last, safe=g.safe)
+    kept = dict(last)
+    walk, walks = rpni._inside, []
+
+    def late(safe, parent, succ, accs, deadline):
+        walks.append(None)
+        verdict = walk(safe, parent, succ, accs, time.monotonic())
+        walks[-1] = verdict
+        return verdict
+
+    monkeypatch.setattr(rpni, "_inside", late)
+    safe = compile_game(g.game).safe  # no row filled yet
+    with pytest.raises(SolveTimeout):
+        merge_learn(final, deadline=time.monotonic() + 60, last=last, safe=safe)
+    assert walks[-1] is None and len(safe.subsets) < 1000  # raised inside the walk
+    assert all(last[key] is kept[key] for key in kept) and last.keys() == kept.keys()
+
+
 # Reference outputs, taken when every trial merge was judged on a built
 # quotient DFA: a rollback that leaves a stray move or link behind can still
-# return a consistent DFA, but not these.
+# return a consistent DFA, but not these.  The DFAs are those of the merging
+# without the check against F too; that check leaves no negative word to add.
 PINNED = [
-    ("evasion", {"start": 4}, 38, (1, 28, 4, 4),
+    ("evasion", {"start": 4}, 10, (1, 0, 4, 4),
      ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
      {5}),
-    ("interval", {"k": 2, "kprime": 10}, 15, (1, 9, 1, 3),
+    ("interval", {"k": 2, "kprime": 10}, 6, (1, 0, 1, 3),
      ((1, 2, 3), (3, 3, 4), (3, 3, 5), (3, 3, 3), (3, 3, 6), (3, 3, 7), (3, 3, 8),
       (3, 3, 8), (3, 3, 3)),
      {6, 8}),
-    ("evasion", {"start": 12}, 94, (1, 68, 12, 12),
+    ("evasion", {"start": 12}, 26, (1, 0, 12, 12),
      ((1, 2, 3, 3), (3, 3, 4, 3), (3, 3, 1, 3), (3, 3, 3, 3), (3, 3, 4, 5), (3, 3, 5, 3)),
      {5}),
 ]
 
 
-@pytest.mark.parametrize("name, params, iterations, sizes, delta, accepting", PINNED)
+@pytest.mark.parametrize("name, params, iterations, sizes, delta, accepting", PINNED,
+                         ids=["evasion(4)", "interval(2,10)", "evasion(12)"])
 def test_learn_rpni_pinned_outputs(name, params, iterations, sizes, delta, accepting):
     res = learn_rpni(generate_benchmark(BenchmarkSpec(name, params)), LearnOptions(timeout=60))
     assert res.outcome == "solved"

@@ -400,7 +400,7 @@ def test_the_schedule_descends_from_the_rpni_winning_set(monkeypatch):
     are the minimum."""
     for g, rpni_size, sizes in ((paper_game("box", height=2), 7, [6, 5, 4]),
                                 (paper_game("follow", bound=2), 7, [6])):
-        first = learn_rpni(g, LearnOptions(timeout=300 * satlearn.RPNI_SHARE))
+        first = learn_rpni(g, LearnOptions(timeout=300 * satlearn.RPNI_SHARE), inside_safe=False)
         assert first.outcome == "solved" and first.dfa.state_count == rpni_size
         made = recorded_books(monkeypatch)
         res = learn(g)
@@ -409,6 +409,21 @@ def test_the_schedule_descends_from_the_rpni_winning_set(monkeypatch):
         assert [book.n for book in made] == sizes
         assert res.iterations > first.iterations
         assert extends(res.sample, first.sample)
+
+
+def test_the_rpni_phase_merges_without_the_walk_through_f(monkeypatch):
+    """`learn`'s rpni phase keeps the merges that leave F, so the sat phase
+    starts from the unsafe words the teacher returned for them.  Pinned
+    (iterations, sample sizes); with the walk the rpni phase adds no
+    negative word, and follow(2) takes 60 iterations."""
+    walks = []
+    monkeypatch.setattr(rpni, "_inside", lambda *args: walks.append(args))
+    for g, iterations, sizes in ((paper_game("follow", bound=2), 50, (1, 43, 1, 3)),
+                                 (paper_game("box", height=2), 57, (1, 47, 3, 2))):
+        res = learn(g)
+        assert res.outcome == "solved"
+        assert (res.iterations, res.sample_sizes) == (iterations, sizes)
+    assert walks == []
 
 
 def test_max_states_on_the_schedule(monkeypatch):
@@ -436,11 +451,11 @@ def rpni_runs_out_after(monkeypatch, conjectures):
     its share of the timeout, as merging does when it passes its deadline."""
     real, calls = rpni.merge_learn, []
 
-    def merge_learn(s, solver=None, deadline=None, last=None):
+    def merge_learn(s, solver=None, deadline=None, last=None, safe=None):
         calls.append(s)
         if len(calls) > conjectures:
             raise SolveTimeout("state merging hit the deadline")
-        return real(s, solver, deadline, last)
+        return real(s, solver, deadline, last, safe)
 
     monkeypatch.setattr(rpni, "merge_learn", merge_learn)
     return calls
