@@ -20,6 +20,8 @@ Variable families (all housed in a VarBook, one per size n):
                     shortest one has at most n·|Q_A| − 1 letters (pigeonhole
                     on the product), and every word of a finite L(A) is at
                     most its longest, whether or not A is trimmed
+    r_{q,s}         joint reachability with F, the safe set, in DFA state q
+                    and F state s (one-directional, as y)
 
 All four constraint families share the one x-universe, so a word's run is
 encoded once no matter how many sample items mention it.  Each constraint
@@ -34,6 +36,22 @@ with gate variables only where a clause would otherwise need a conjunction:
                     clause lists z_{q,q',l}'s predecessor pairs (d, z_{l-1}),
                     a witness clause lists acc_u's accepting pairs (z, f)
 
+Every winning set lies inside F, so φ_n states that the DFA does too,
+once, in F's reachability block (after Neider's implication encoding and
+the one-way annotations of Finkbeiner & Schewe's bounded synthesis, STTT
+2013): the unit r_{0,0}, [-r_{p,s}, -d_{p,a,q}, r_{q,δF(s,a)}] for every
+p, s, a and q (but the tautologies p = q, s = δF(s,a)), and [-r_{q,s},
+-f_q] for every s that F rejects.  F is the game's `CompiledGame.safe`,
+the subset construction filled on demand; the book fills all its rows
+and numbers r after them.  Sound: a DFA that accepts only words of F,
+every winning set among them, satisfies the block with r set to its true
+reachability, so no size that a winning set has is refuted.  And every
+model stays inside F: r holds on every reachable pair, so no accepted
+word ends in a state F rejects, and the teacher's check 2 passes it.  The
+block has n²·|F|·|Σ| clauses; a book whose block would have more than
+SAFE_BLOCK_BUDGET gets none (any subset of the block is sound), and then
+check 2's counterexamples keep the DFA inside F as they did before.
+
 The x-blocks also carry what `sample.distinct_pairs` settles from the
 sample alone: pairs of prefixes u, v that every consistent DFA runs to
 different states (Heule & Verwer's conflict edges, found through the
@@ -43,16 +61,17 @@ symmetry; they hand the solver the pigeonhole core that it would otherwise
 derive through the transitions once per numbering of the states.
 
 A book lives as long as its sample grows, and its numbering only appends.
-The d-, f-, t-, p- and m-blocks and the empty prefix's x-block are
-numbered when the book is made, with the clauses over them alone.  Then
-`VarBook.extend` encodes the sample's items, each once: it numbers the
-x-block of each prefix the item brings in (with its at-most-one clauses and
-its one run step from its parent), then the item's y- or z-block and its
-gates, and appends the item's clauses; last come the clauses of the
-distinct pairs not encoded yet (a grown sample keeps every pair of the one
-it grew from).  The learner keeps one live book, at the size it is
-solving, so each iteration's φ_n is the last one plus the new items'
-clauses, solved on by the same live solver (see `prop`).
+The d-, f-, t-, p- and m-blocks, the empty prefix's x-block and F's
+r-block are numbered when the book is made, with the clauses over them
+alone.  Then `VarBook.extend` encodes the sample's items, each once: it
+numbers the x-block of each prefix the item brings in (with its
+at-most-one clauses and its one run step from its parent), then the
+item's y- or z-block and its gates, and appends the item's clauses;
+last come the clauses of the distinct pairs not encoded yet (a grown
+sample keeps every pair of the one it grew from).  The learner keeps one
+live book, at the size it is solving, so each iteration's φ_n is the
+last one plus the new items' clauses, solved on by the same live solver
+(see `prop`).
 
 The BFS symmetry-breaking predicates of Ulyantsev, Zakirzyanov & Shalyto
 (LATA 2015) are ordinary clauses of φ_n, over the d-variables and three
@@ -72,9 +91,11 @@ k < n states, some transition lies off its BFS tree (a non-empty alphabet
 gives k·|Σ| ≥ k transitions against k − 1 tree edges); pointing it at a
 fresh copy of its target adds a reachable state and keeps the language.
 The BFS relabelling of the padded n-state DFA satisfies the predicates,
-so φ_n is satisfiable with them exactly when it is without them.  Every
-predicate clause mentions a t, p or m variable (`VarBook.symmetry_vars`),
-so the plain φ_n is the clause list without those.
+so φ_n is satisfiable with them exactly when it is without them.
+Padding keeps the language, so the padded DFA stays inside F when the
+one it pads does.  Every predicate clause mentions a t, p or m variable
+(`VarBook.symmetry_vars`), so the plain φ_n is the clause list without
+those.
 """
 
 import itertools
@@ -83,7 +104,7 @@ from dataclasses import replace
 from functools import partial
 
 from . import teacher
-from .automata import Dfa
+from .automata import Dfa, accepts
 from .errors import (
     CapExceededError,
     InfiniteBranchingError,
@@ -98,9 +119,12 @@ from .sample import Sample, check_contradiction, distinct_pairs, extends, finite
 
 class VarBook:
     """Dense, append-only variable numbering of one φ_n and its CnfInstance
-    `cnf`; ids start at 1.  See the module docstring for the order."""
+    `cnf`; ids start at 1.  See the module docstring for the order.  With
+    `safe` (F as a `Subsets`) the book carries F's reachability block when
+    it fits SAFE_BLOCK_BUDGET; filling F's rows reads `deadline`."""
 
-    def __init__(self, alphabet, n):
+    def __init__(self, alphabet, n, safe=None, deadline=None):
+        rows = None if safe is None else _safe_rows(safe, n * n * len(alphabet), deadline)
         self.alphabet = alphabet
         self.n = n
         self.nsym = len(alphabet)
@@ -123,6 +147,8 @@ class VarBook:
         clauses += build_symmetry(self)
         self.symmetry_vars = range(top + 1, self.var_count + 1)
         clauses += build_run_constraints(self, ())
+        if rows is not None:
+            clauses += build_safe(self, rows, safe.rejecting)
 
     @property
     def var_count(self):
@@ -228,6 +254,54 @@ def build_run_constraints(book, u):
                     out.append([not_x, not_d[q], xs[q]])
         out += _at_most_one(xs)
         pref[u[:i]] = offset
+    return out
+
+
+# The most clauses, n²·|F|·|Σ|, that F's reachability block of one VarBook
+# may have; a book whose block would have more gets none, and check 2's
+# counterexamples keep its DFAs inside F as before.  interval(1,5000) and
+# interval(1,8000) at n = 6 fit (540k and 864k clauses); on a shared
+# 2-vCPU machine the block took interval(1,8000) from 44 s to 9.6 s and
+# its peak RSS from 1.11 to 1.29 GB.
+SAFE_BLOCK_BUDGET = 1_000_000
+
+
+def _safe_rows(safe, per_state, deadline):
+    """Every row of F (a `Subsets`), filled in the order F's states were
+    reached, each of which is reached from state 0; None as soon as F has
+    more states than SAFE_BLOCK_BUDGET allows at `per_state` clauses each.
+    The deadline is read every 256 rows."""
+    delta, subsets = safe.delta, safe.subsets
+    rows = []
+    while len(rows) < len(subsets):
+        if not len(rows) & 255:
+            check_deadline(deadline, "encoding")
+        if (len(rows) + 1) * per_state > SAFE_BLOCK_BUDGET:
+            return None
+        rows.append(delta[len(rows)])
+    return rows
+
+
+def build_safe(book, rows, rejecting):
+    """F's reachability block over F's rows (F state s -> its successor per
+    symbol): numbers r_{q,s}, returns the clauses r_{0,0}, r_{p,s} ∧
+    d_{p,a,q} → r_{q,δF(s,a)} and ¬r_{q,s} ∨ ¬f_q for each s in
+    `rejecting`, so every model accepts only words of F."""
+    n, nf = book.n, len(rows)
+    offset = book._block(n * nf)
+    # lists, so the clauses share one int object per variable
+    r = [list(range(offset + 1 + q * nf, offset + 1 + (q + 1) * nf)) for q in range(n)]
+    out = [[r[0][0]]]
+    for p in range(n):
+        for s, row in enumerate(rows):
+            not_r, not_dp = -r[p][s], book.not_dt[p]
+            for a, t in enumerate(row):
+                not_d = not_dp[a]
+                for q in range(n):
+                    if p == q and s == t:
+                        continue  # r → r: a tautology
+                    out.append([not_r, not_d[q], r[q][t]])
+    out += [[-r[q][s], -book.f(q)] for s in range(nf) if s in rejecting for q in range(n)]
     return out
 
 
@@ -397,9 +471,11 @@ def extract_dfa(model, book):
 
 
 def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, deadline=None,
-                           books=None):
-    """Smallest consistent DFA of at least the least size in `books` (1
-    when there is none) and at most `n_cap` states, by solving φ_n for
+                           books=None, safe=None, n_min=1):
+    """Smallest DFA consistent with `sample`, and accepting only words of
+    F when `safe` (F as a `Subsets`) is given and its block fits
+    SAFE_BLOCK_BUDGET, of at least the least size in `books` (`n_min` when
+    there is none) and at most `n_cap` states, by solving φ_n for
     n = that size, that size + 1, ... until satisfiable; CapExceededError
     when φ_{n_cap} is UNSAT too.  It is the smallest of all only when every
     size below the first is refuted.
@@ -414,11 +490,11 @@ def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, d
     model there raises ExternalSolverError.
     """
     books = {} if books is None else books
-    n = min(books, default=1)
+    n = min(books, default=n_min)
     while n <= n_cap:
         book = books.get(n)
         if book is None:
-            book = books[n] = VarBook(sample.alphabet, n)
+            book = books[n] = VarBook(sample.alphabet, n, safe, deadline)
         book.extend(sample, deadline)
         model = solve_checked(solver, book.cnf, deadline, f"size-{n}")
         if model is not None:
@@ -426,6 +502,18 @@ def minimal_consistent_dfa(sample, n_cap=LearnOptions.max_states, solver=None, d
         del books[n]
         n += 1
     raise CapExceededError(n_cap)
+
+
+def _with_unsafe_words(s, safe):
+    """`s` with the words of its word universe (positive words,
+    antecedents and the words of finite consequents) that F rejects added
+    to its negative ones: every winning set lies inside F."""
+    words = set(s.pos)
+    for u, a in s.ex + s.uni:
+        words.add(u)
+        words.update(finite_words(a) or ())
+    unsafe = sorted(w for w in words.difference(s.neg) if not accepts(safe, w))
+    return replace(s, neg=s.neg + tuple(unsafe))
 
 
 # The share of the timeout that the rpni phase of `learn` may take.
@@ -448,6 +536,12 @@ def learn(game, opts=None):
     `cap-exceeded` once lo passes `opts.max_states`.  When rpni runs out of
     its share, hi stays unknown and the scan starts at 1 on rpni's sample;
     after InfiniteBranchingError it starts on an empty sample.
+
+    Every φ_n carries F's block, so check 2 finds no counterexample and the
+    sample gains no unsafe word.  While hi is unknown, the contradiction
+    check therefore counts the sample's words outside F as negative ones:
+    without them, a game that Player 1 wins would scan every size up to
+    the cap, each refuted by its F block alone.
     """
     opts = opts or LearnOptions()
     cap = opts.max_states
@@ -463,16 +557,19 @@ def learn(game, opts=None):
 
     def conjecture(s, solver, deadline):
         nonlocal lo
-        check_contradiction(s, solver, deadline)  # raises on a contradictory sample
+        # raises on a contradictory sample; without a winning set, also on a
+        # sample that no language inside F fits, which every φ_n refutes
+        check_contradiction(s if winning is not None else _with_unsafe_words(s, game.safe),
+                            solver, deadline)
         if winning is None:
             top = cap
         else:
             top = min(winning.state_count - 1, cap)
             if top not in books:
                 books.clear()
-                books[top] = VarBook(s.alphabet, top)
         try:
-            d = minimal_consistent_dfa(s, n_cap=top, solver=solver, deadline=deadline, books=books)
+            d = minimal_consistent_dfa(s, n_cap=top, solver=solver, deadline=deadline, books=books,
+                                       safe=game.safe, n_min=1 if winning is None else top)
         except CapExceededError:
             lo = top + 1
             raise

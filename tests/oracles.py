@@ -206,15 +206,94 @@ def sample_holds_brute(delta, acc, pos, neg, ex, uni):
     return True
 
 
-def exists_consistent_dfa(symbol_count, n, pos, neg, ex, uni):
-    """Is some total n-state DFA consistent with the sample?  Tries them all."""
+def exists_consistent_dfa(symbol_count, n, pos, neg, ex, uni, safe=None):
+    """Is some total n-state DFA consistent with the sample, and, when
+    `safe` (a DFA as (rows, accepting), see `subset_dfa`) is given, does
+    it accept only words `safe` accepts?  Tries them all."""
     for flat in itertools.product(range(n), repeat=n * symbol_count):
         delta = [flat[q * symbol_count:(q + 1) * symbol_count] for q in range(n)]
         for bits in itertools.product((False, True), repeat=n):
             acc = {q for q in range(n) if bits[q]}
-            if sample_holds_brute(delta, acc, pos, neg, ex, uni):
+            if (sample_holds_brute(delta, acc, pos, neg, ex, uni)
+                    and (safe is None or stays_inside(delta, acc, safe))):
                 return True
     return False
+
+
+def subset_dfa(a):
+    """The subset construction of the Nfa `a`, written out here: (rows,
+    accepting) with state 0 the initial subset, rows[s] one successor per
+    symbol, and the empty subset a rejecting sink."""
+    targets = {}
+    for p, sym, q in a.transitions:
+        targets.setdefault((p, sym), set()).add(q)
+    order = [frozenset([a.initial])]
+    index = {order[0]: 0}
+    rows = []
+    for subset in order:  # grows while it is read
+        row = []
+        for sym in range(len(a.alphabet)):
+            t = frozenset(q for p in subset for q in targets.get((p, sym), ()))
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            row.append(index[t])
+        rows.append(tuple(row))
+    return rows, {i for i, subset in enumerate(order) if subset & a.accepting}
+
+
+def stays_inside(delta, acc, safe):
+    """Does the DFA (delta rows, accepting set) accept only words of the
+    DFA `safe` = (rows, accepting)?  No reachable pair of their product is
+    accepting in the first and rejecting in the second."""
+    rows, fin = safe
+    seen, stack = {(0, 0)}, [(0, 0)]
+    while stack:
+        q, s = stack.pop()
+        if q in acc and s not in fin:
+            return False
+        for sym, t in enumerate(delta[q]):
+            pair = t, rows[s][sym]
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
+
+
+def safe_block(book, safe):
+    """Clauses stating that the DFA of `book`'s d- and f-variables accepts
+    only words of the DFA `safe` = (rows, accepting): one-way reachability
+    r_{q,s} over the product, numbered above `book.var_count`.  Returns the
+    clauses and the new variable count."""
+    rows, fin = safe
+    n, nf, top = book.n, len(rows), book.var_count
+
+    def r(q, s):
+        return top + 1 + q * nf + s
+
+    clauses = [[r(0, 0)]]
+    clauses += [[-r(p, s), -book.d(p, sym, q), r(q, t)]
+                for p in range(n) for s, row in enumerate(rows) for sym, t in enumerate(row)
+                for q in range(n) if (p, s) != (q, t)]
+    clauses += [[-r(q, s), -book.f(q)] for s in range(nf) if s not in fin for q in range(n)]
+    return clauses, top + n * nf
+
+
+def apart_clique(prefixes, pairs, size):
+    """Up to `size` prefixes u_0 = ε, u_1, ... that `pairs` (a set of
+    pairs, each in either order) keeps pairwise apart, picked greedily,
+    the prefixes in most pairs first."""
+    degree = {}
+    for pair in pairs:
+        for u in pair:
+            degree[u] = degree.get(u, 0) + 1
+    clique = [()]
+    for u in sorted(prefixes, key=lambda u: (-degree.get(u, 0), len(u), u)):
+        if len(clique) == size:
+            break
+        if u and all((u, v) in pairs or (v, u) in pairs for v in clique):
+            clique.append(u)
+    return clique
 
 
 def bfs_order(delta):

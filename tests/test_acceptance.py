@@ -15,6 +15,7 @@ from winset.automata import (
     Alphabet,
     Nfa,
     Product,
+    Subsets,
     _reachable,
     accepts,
     determinize,
@@ -28,13 +29,14 @@ from winset.learning import LearnOptions
 from winset.prop import CnfInstance, solve_internal
 from winset.relations import image, invert
 from winset.rpni import learn_rpni, merge_learn
-from winset.sample import is_consistent
+from winset.sample import distinct_pairs, is_consistent
 from winset.satlearn import VarBook, extract_dfa
 from winset.satlearn import learn as learn_sat
 from winset.teacher import Positive, query
 
 from oracles import (
     accepts_pair,
+    apart_clique,
     audit_merges,
     all_words,
     exists_consistent_dfa,
@@ -45,7 +47,10 @@ from oracles import (
     random_nfa,
     random_sample_parts,
     random_transducer,
+    safe_block,
     safety_region,
+    stays_inside,
+    subset_dfa,
 )
 
 SUITE_NAMES = ("diagonal", "box", "solitary-box", "evasion", "follow", "program-repair")
@@ -111,14 +116,27 @@ def test_1_worked_example_boundary_game(sat_runs, tmp_path):
 
 
 def test_2_returned_sizes_are_minimal(sat_runs):
+    """The learner's claim for a returned size n: no (n−1)-state DFA both
+    fits the final sample and accepts only words of F.  Re-proved from the
+    plain clause list with an F block built here (`oracles.safe_block`),
+    so a learner's block that says more than F finds a model here.
+
+    The re-proof also fixes a clique u_0 = ε, u_1, ... of prefixes that
+    the plain clauses keep pairwise apart to the states 0, 1, ... (Heule &
+    Verwer's symmetry break).  Sound: the plain clauses and the F block
+    name no state but 0 (the roots x_{ε,0}, y_{0,·}, r_{0,0} and the z
+    layer 0), so a permutation of the states 1..n−2 maps a model to a
+    model.  In a model the clique's prefixes sit in distinct states, ε in
+    0; the permutation that moves u_i to i gives a model of the units."""
     solve_total = sum(elapsed for _, _, elapsed in sat_runs.values())
     t0 = time.monotonic()
     ok = True
-    rechecked = 0
+    rechecked = bigger = 0
     for name, (g, res, elapsed) in sat_runs.items():
         n = res.dfa.state_count
         if n == 1:
             continue  # nothing below one state
+        bigger += 1
         book = VarBook(g.alphabet, n - 1)
         book.extend(res.sample)
         cnf = book.cnf
@@ -126,14 +144,20 @@ def test_2_returned_sizes_are_minimal(sat_runs):
         # predicates the learner used, and each of them mentions t, p or m
         sym = set(book.symmetry_vars)
         plain = [c for c in cnf.clauses if not any(abs(lit) in sym for lit in c)]
-        if solve_internal(CnfInstance(cnf.var_count, plain)) is not None:
+        block, var_count = safe_block(book, subset_dfa(g.safe))
+        present = {frozenset(c) for c in plain}
+        clique = apart_clique(book.prefixes, distinct_pairs(res.sample), n - 1)
+        apart = all(frozenset((-book.x(u, q), -book.x(v, q))) in present
+                 for i, u in enumerate(clique) for v in clique[:i] for q in range(n - 1))
+        units = [[book.x(u, i)] for i, u in enumerate(clique)]
+        if not apart or solve_internal(CnfInstance(var_count, plain + block + units)) is not None:
             ok = False
             break
         rechecked += 1
     check_total = time.monotonic() - t0
-    ok = ok and check_total < 2 * solve_total
+    ok = ok and rechecked == bigger and check_total < 2 * solve_total
     report(2, "minimal sizes", ok,
-           f"{rechecked} runs rechecked in {check_total:.2f}s "
+           f"{rechecked} of {bigger} runs rechecked in {check_total:.2f}s "
            f"vs {solve_total:.2f}s solving")
 
 
@@ -166,14 +190,20 @@ def test_3_finite_game_oracle_equivalence():
 
 
 def test_4_sat_encoding_matches_enumeration():
+    """φ_n is SAT exactly when some n-state DFA fits the sample, and, with
+    a random 1-3-state F given to the book, exactly when some n-state DFA
+    fits it and accepts only words of F."""
     AB = Alphabet(("a", "b"))
     rng = random.Random(4)
+    frng = random.Random(5)  # its own stream, so the samples are those without F
     t0 = time.monotonic()
     ok = True
-    sat_hits = 0
+    sat_hits = safe_hits = safe_refuted = 0
     for _ in range(200):
         pos, neg, ex, uni = random_sample_parts(rng)
         s = make_sample(AB, pos, neg, ex, uni)
+        f = random_nfa(frng, AB, max_states=3)
+        safe = subset_dfa(f)
         for n in (1, 2, 3):
             book = VarBook(AB, n)
             book.extend(s)
@@ -183,12 +213,23 @@ def test_4_sat_encoding_matches_enumeration():
             if model is not None:
                 sat_hits += 1
                 ok = ok and is_consistent(extract_dfa(model, book), s)[0]
+            book = VarBook(AB, n, Subsets(f))
+            book.extend(s)
+            inside = solve_internal(book.cnf)
+            ok = ok and (inside is not None) == exists_consistent_dfa(2, n, pos, neg, ex, uni, safe)
+            if inside is not None:
+                safe_hits += 1
+                d = extract_dfa(inside, book)
+                ok = ok and is_consistent(d, s)[0] and stays_inside(d.delta, d.accepting, safe)
+            elif model is not None:
+                safe_refuted += 1
         if not ok:
             break
     total = time.monotonic() - t0
     ok = ok and total < 120.0
     report(4, "sat encoding", ok,
-           f"200 samples x sizes 1-3, {sat_hits} models extracted, {total:.2f}s")
+           f"200 samples x sizes 1-3, {sat_hits} models extracted; with F "
+           f"{safe_hits} models, {safe_refuted} refuted by F alone; {total:.2f}s")
 
 
 def test_5_benchmark_suite(sat_runs, tmp_path):

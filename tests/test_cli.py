@@ -149,8 +149,8 @@ def test_solve_rejects_an_unsat_lie_below_the_rpni_bound(tmp_path, capsys, monke
     size_six = []
 
     class Book(satlearn.VarBook):
-        def __init__(self, alphabet, n):
-            super().__init__(alphabet, n)
+        def __init__(self, alphabet, n, safe=None, deadline=None):
+            super().__init__(alphabet, n, safe, deadline)
             if n == 6:
                 size_six.append(self.cnf)
 

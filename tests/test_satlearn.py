@@ -37,7 +37,7 @@ from winset.satlearn import (
     minimal_consistent_dfa,
 )
 from winset.game import serialize_dfa
-from winset.teacher import query
+from winset.teacher import check_safe, compile_game, query
 
 from oracles import (
     bfs_order,
@@ -384,8 +384,8 @@ def recorded_books(monkeypatch):
     made = []
 
     class Recorded(VarBook):
-        def __init__(self, alphabet, n):
-            super().__init__(alphabet, n)
+        def __init__(self, alphabet, n, safe=None, deadline=None):
+            super().__init__(alphabet, n, safe, deadline)
             made.append(self)
 
     monkeypatch.setattr(satlearn, "VarBook", Recorded)
@@ -414,16 +414,72 @@ def test_the_schedule_descends_from_the_rpni_winning_set(monkeypatch):
 def test_the_rpni_phase_merges_without_the_walk_through_f(monkeypatch):
     """`learn`'s rpni phase keeps the merges that leave F, so the sat phase
     starts from the unsafe words the teacher returned for them.  Pinned
-    (iterations, sample sizes); with the walk the rpni phase adds no
-    negative word, and follow(2) takes 60 iterations."""
+    (iterations, sample sizes).  With the walk the rpni phase adds no
+    negative word, and the sample keeps fewer pairs of prefixes apart:
+    interval(5,50) took 22.9 s instead of 13.5-15.7 s, and acceptance
+    check 2's re-proof, which fixes a clique of such pairs, took 3.98 s
+    against 0.24 s of learning (one run each, 2-vCPU machine)."""
     walks = []
     monkeypatch.setattr(rpni, "_inside", lambda *args: walks.append(args))
-    for g, iterations, sizes in ((paper_game("follow", bound=2), 50, (1, 43, 1, 3)),
-                                 (paper_game("box", height=2), 57, (1, 47, 3, 2))):
+    for g, iterations, sizes in ((paper_game("follow", bound=2), 19, (1, 12, 1, 3)),
+                                 (paper_game("box", height=2), 22, (1, 11, 3, 3))):
         res = learn(g)
         assert res.outcome == "solved"
         assert (res.iterations, res.sample_sizes) == (iterations, sizes)
     assert walks == []
+
+
+def test_the_sat_phase_adds_no_negative_word(monkeypatch):
+    """F's block keeps every φ_n model inside F, so teacher check 2 passes
+    every conjecture of the sat phase and its sample gains no negative
+    word over the rpni phase's."""
+    conjectures = []
+    real = satlearn.minimal_consistent_dfa
+
+    def recorded(*args, **kwargs):
+        conjectures.append(real(*args, **kwargs))
+        return conjectures[-1]
+
+    monkeypatch.setattr(satlearn, "minimal_consistent_dfa", recorded)
+    checked = 0
+    for family, params, size in PAPER_SIZES:
+        g = paper_game(family, **params)
+        first = learn_rpni(g, LearnOptions(timeout=300 * satlearn.RPNI_SHARE), inside_safe=False)
+        del conjectures[:]
+        res = learn(g)
+        assert (res.outcome, res.dfa.state_count) == ("solved", size), family
+        assert all(check_safe(g, c) is None for c in conjectures), family
+        assert res.sample.neg == first.sample.neg, family
+        checked += len(conjectures)
+    assert checked > 0
+
+
+def test_without_the_block_the_teacher_keeps_the_dfa_inside_f(monkeypatch):
+    """Above SAFE_BLOCK_BUDGET a book has no F block, and the run is the
+    one check 2's counterexamples drive: follow(2) still learns its
+    7 states, in 50 iterations."""
+    g = compile_game(paper_game("follow", bound=2))
+    assert VarBook(g.game.alphabet, 6, g.safe).var_count > VarBook(g.game.alphabet, 6).var_count
+    monkeypatch.setattr(satlearn, "SAFE_BLOCK_BUDGET", 0)
+    assert VarBook(g.game.alphabet, 6, g.safe).var_count == VarBook(g.game.alphabet, 6).var_count
+    res = learn(g)
+    assert (res.outcome, res.dfa.state_count, res.iterations) == ("solved", 7, 50)
+
+
+def test_a_deadline_stops_the_block_while_it_walks_f():
+    """The F block of a book over interval(1,20000)'s F reads the deadline
+    while it fills F's rows: a past deadline ends the book as SolveTimeout
+    before F is filled, and the scan leaves no book behind."""
+    g = compile_game(paper_game("interval", k=1, kprime=20000))
+    past = time.monotonic() - 1
+    with pytest.raises(SolveTimeout, match="encoding"):
+        VarBook(g.game.alphabet, 2, g.safe, past)
+    books = {}
+    with pytest.raises(SolveTimeout, match="encoding"):
+        minimal_consistent_dfa(empty_sample(g.game.alphabet), deadline=past, books=books,
+                               safe=g.safe)
+    assert books == {}
+    assert len(g.safe.delta) < 1000
 
 
 def test_max_states_on_the_schedule(monkeypatch):
